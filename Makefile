@@ -56,7 +56,6 @@ chaos-disk:
 # The bounded -fuzzminimizetime keeps fresh corpora from spending the
 # whole budget minimizing their first interesting inputs.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameV2$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResync$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/

@@ -62,7 +62,6 @@ func main() {
 		recover  = flag.Bool("recover", false, "recover dirty data from the partner on startup")
 		dataDir  = flag.String("datadir", "", "persist flushed pages here (survives restarts)")
 		syncW    = flag.Bool("sync", false, "fsync the page store on every persist")
-		syncB    = flag.Bool("sync-barrier", false, "settle multi-section fsync passes with one syncfs; use only when -datadir has its own filesystem")
 		batch    = flag.Int("batch", 0, "max pages group-committed per forward frame (0 = default)")
 		inflight = flag.Int("inflight", 0, "max unacked forward frames on the wire (0 = default)")
 		shards   = flag.Int("shards", 0, "buffer lock stripes / concurrent flush streams (0 = default)")
@@ -159,7 +158,6 @@ func main() {
 		SSD:           flashcoop.DefaultSSD(*scheme, *blocks),
 		DataDir:       *dataDir,
 		SyncWrites:    *syncW,
-		SyncBarrier:   *syncB,
 		MaxBatchPages: *batch,
 		MaxInflight:   *inflight,
 		Shards:        *shards,

@@ -176,9 +176,6 @@ type shardRun struct {
 	// commit's amortization factor.
 	GroupCommitBatches int64   `json:"group_commit_batches"`
 	PagesPerSync       float64 `json:"pages_per_sync,omitempty"`
-	// FsBarriers counts passes settled by one whole-filesystem barrier
-	// (syncfs) instead of per-section fsyncs.
-	FsBarriers int64 `json:"fs_barriers,omitempty"`
 }
 
 // shardScale is the whole ladder plus the headline ratio. Each ladder
@@ -1115,7 +1112,6 @@ func runShardOnce(opt options, shards int, syncInterval time.Duration) (shardRun
 		Persists:           st.Persists,
 		EvictorStalls:      st.EvictorStalls,
 		GroupCommitBatches: st.GroupCommitBatches,
-		FsBarriers:         st.FsBarriers,
 	}
 	if st.GroupCommitBatches > 0 {
 		r.PagesPerSync = float64(st.PagesSynced) / float64(st.GroupCommitBatches)

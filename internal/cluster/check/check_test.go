@@ -3,6 +3,7 @@ package check
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"flashcoop/internal/cluster"
@@ -118,7 +119,7 @@ func TestDiscardSafetyInvariant(t *testing.T) {
 func frame(t *testing.T, m *cluster.Message) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := cluster.WriteFrame(&buf, m); err != nil {
+	if err := cluster.WriteFrameV2(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -158,11 +159,47 @@ func TestSeqCheckerFlagsReuseAndOrphans(t *testing.T) {
 	}
 }
 
+// TestSeqCheckerReplyBeforeRequest covers the tap race on multicore: the
+// reader can tap a reply before the writer taps its request. A reply
+// whose request shows up later passes; one whose request never shows up,
+// or a second reply for the same seq, is still a violation.
+func TestSeqCheckerReplyBeforeRequest(t *testing.T) {
+	hb := func(seq uint64) []byte { return frame(t, &cluster.Message{Type: cluster.MsgHeartbeat, Seq: seq}) }
+	ack := func(seq uint64) []byte { return frame(t, &cluster.Message{Type: cluster.MsgHeartbeatAck, Seq: seq}) }
+
+	s := NewSeqChecker()
+	s.Observe(1, true, false, ack(7))
+	s.Observe(1, true, true, hb(7))
+	if vs := s.Violations(); len(vs) != 0 {
+		t.Fatalf("reply tapped before its request flagged: %v", vs)
+	}
+
+	s = NewSeqChecker()
+	s.Observe(1, true, false, ack(8))
+	vs := s.Violations()
+	if len(vs) != 1 || !strings.Contains(vs[0].Detail, "unknown seq 8") {
+		t.Fatalf("reply for a never-requested seq: got %v, want one unknown-seq violation", vs)
+	}
+
+	s = NewSeqChecker()
+	s.Observe(1, true, false, ack(9))
+	s.Observe(1, true, false, ack(9))
+	s.Observe(1, true, true, hb(9))
+	s.Observe(1, true, true, hb(10))
+	s.Observe(1, true, false, ack(10))
+	s.Observe(1, true, false, ack(10))
+	vs = s.Violations()
+	if len(vs) != 2 || !strings.Contains(vs[0].Detail, "duplicate response for seq 9") ||
+		!strings.Contains(vs[1].Detail, "duplicate response for seq 10") {
+		t.Fatalf("duplicate replies: got %v, want two duplicate-response violations", vs)
+	}
+}
+
 func TestSeqCheckerFlagsImplausibleFrame(t *testing.T) {
 	s := NewSeqChecker()
-	var junk [4]byte
-	binary.BigEndian.PutUint32(junk[:], cluster.MaxFrameBytes+1)
-	s.Observe(1, true, true, junk[:])
+	junk := []byte{cluster.FrameMagicV2, cluster.FrameVersion2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(junk[4:8], cluster.MaxFrameBytes+1)
+	s.Observe(1, true, true, junk)
 	if vs := s.Violations(); len(vs) != 1 {
 		t.Fatalf("oversized frame length not flagged: %v", vs)
 	}

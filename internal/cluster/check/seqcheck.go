@@ -3,6 +3,7 @@ package check
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
 	"flashcoop/internal/cluster"
@@ -21,6 +22,12 @@ import (
 // outside it, so two concurrent calls may cross — a benign reorder the
 // reader side matches by seq. Reuse of a seq, or a response nobody asked
 // for, is never benign.
+//
+// A response may be tapped before its request: the tap sees outbound
+// bytes only after the underlying write returns, so on a second core the
+// reader can tap the reply first. Such a response is parked until its
+// request arrives; Violations reports it only if its seq is still
+// unrequested then.
 type SeqChecker struct {
 	mu         sync.Mutex
 	conns      map[uint64]*seqConn
@@ -31,6 +38,7 @@ type seqConn struct {
 	reqBuf, respBuf []byte
 	seen            map[uint64]bool // request seqs observed on this conn
 	answered        map[uint64]bool // response seqs observed on this conn
+	early           map[uint64]bool // parked responses: request not yet observed
 	broken          bool            // framing lost; stop parsing this conn
 }
 
@@ -49,7 +57,7 @@ func (s *SeqChecker) Observe(connID uint64, dialed, outbound bool, b []byte) {
 	defer s.mu.Unlock()
 	c := s.conns[connID]
 	if c == nil {
-		c = &seqConn{seen: make(map[uint64]bool), answered: make(map[uint64]bool)}
+		c = &seqConn{seen: make(map[uint64]bool), answered: make(map[uint64]bool), early: make(map[uint64]bool)}
 		s.conns[connID] = c
 	}
 	if c.broken {
@@ -64,9 +72,8 @@ func (s *SeqChecker) Observe(connID uint64, dialed, outbound bool, b []byte) {
 }
 
 // drainLocked parses every complete frame buffered for one direction,
-// sniffing v1 (length-prefixed) versus v2 (magic + CRC) per frame the
-// same way cluster.ReadFrame does; a v2 frame's checksum is verified
-// against the bytes that actually crossed the wire. A trailing
+// checking its header and its checksum against the bytes that actually
+// crossed the wire, the same way cluster.ReadFrame does. A trailing
 // incomplete frame is left in place — the connection may simply have
 // died mid-frame, which is not a protocol violation.
 func (s *SeqChecker) drainLocked(connID uint64, c *seqConn, outbound bool) {
@@ -74,29 +81,23 @@ func (s *SeqChecker) drainLocked(connID uint64, c *seqConn, outbound bool) {
 	if outbound {
 		buf = &c.reqBuf
 	}
+	const hdr = cluster.FrameHdrV2Len
 	for {
 		if len(*buf) < 4 {
 			return
 		}
-		hdr := 4
-		var n uint32
-		if (*buf)[0] == cluster.FrameMagicV2 {
-			if (*buf)[1] != cluster.FrameVersion2 || (*buf)[2] != 0 || (*buf)[3] != 0 {
-				s.violations = append(s.violations, Violation{
-					Invariant: "seq", LPN: -1,
-					Detail: fmt.Sprintf("conn %d: bad v2 frame header % x", connID, (*buf)[:4]),
-				})
-				c.broken = true
-				return
-			}
-			if len(*buf) < cluster.FrameHdrV2Len {
-				return
-			}
-			hdr = cluster.FrameHdrV2Len
-			n = binary.BigEndian.Uint32((*buf)[4:8])
-		} else {
-			n = binary.BigEndian.Uint32(*buf)
+		if (*buf)[0] != cluster.FrameMagicV2 || (*buf)[1] != cluster.FrameVersion2 || (*buf)[2] != 0 || (*buf)[3] != 0 {
+			s.violations = append(s.violations, Violation{
+				Invariant: "seq", LPN: -1,
+				Detail: fmt.Sprintf("conn %d: bad frame header % x", connID, (*buf)[:4]),
+			})
+			c.broken = true
+			return
 		}
+		if len(*buf) < hdr {
+			return
+		}
+		n := binary.BigEndian.Uint32((*buf)[4:8])
 		if n > cluster.MaxFrameBytes || n < 9 {
 			s.violations = append(s.violations, Violation{
 				Invariant: "seq", LPN: -1,
@@ -109,15 +110,13 @@ func (s *SeqChecker) drainLocked(connID uint64, c *seqConn, outbound bool) {
 			return
 		}
 		body := (*buf)[hdr : hdr+int(n)]
-		if hdr == cluster.FrameHdrV2Len {
-			if want := binary.BigEndian.Uint32((*buf)[8:12]); cluster.ChecksumV2(body) != want {
-				s.violations = append(s.violations, Violation{
-					Invariant: "seq", LPN: -1,
-					Detail: fmt.Sprintf("conn %d: v2 frame checksum mismatch", connID),
-				})
-				c.broken = true
-				return
-			}
+		if want := binary.BigEndian.Uint32((*buf)[8:12]); cluster.ChecksumV2(body) != want {
+			s.violations = append(s.violations, Violation{
+				Invariant: "seq", LPN: -1,
+				Detail: fmt.Sprintf("conn %d: frame checksum mismatch", connID),
+			})
+			c.broken = true
+			return
 		}
 		seq := binary.BigEndian.Uint64(body[1:9])
 		if outbound {
@@ -128,18 +127,20 @@ func (s *SeqChecker) drainLocked(connID uint64, c *seqConn, outbound bool) {
 				})
 			}
 			c.seen[seq] = true
+			if c.early[seq] {
+				// The parked response answers this request.
+				delete(c.early, seq)
+				c.answered[seq] = true
+			}
 		} else {
 			switch {
-			case !c.seen[seq]:
-				s.violations = append(s.violations, Violation{
-					Invariant: "seq", LPN: -1,
-					Detail: fmt.Sprintf("conn %d: response for unknown seq %d", connID, seq),
-				})
-			case c.answered[seq]:
+			case c.answered[seq] || c.early[seq]:
 				s.violations = append(s.violations, Violation{
 					Invariant: "seq", LPN: -1,
 					Detail: fmt.Sprintf("conn %d: duplicate response for seq %d", connID, seq),
 				})
+			case !c.seen[seq]:
+				c.early[seq] = true
 			default:
 				c.answered[seq] = true
 			}
@@ -148,11 +149,30 @@ func (s *SeqChecker) drainLocked(connID uint64, c *seqConn, outbound bool) {
 	}
 }
 
-// Violations returns every breach recorded so far.
+// Violations returns every breach recorded so far, plus one for each
+// parked response whose request has still not been observed.
 func (s *SeqChecker) Violations() []Violation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Violation, len(s.violations))
 	copy(out, s.violations)
+	ids := make([]uint64, 0, len(s.conns))
+	for id := range s.conns {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		seqs := make([]uint64, 0, len(s.conns[id].early))
+		for seq := range s.conns[id].early {
+			seqs = append(seqs, seq)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		for _, seq := range seqs {
+			out = append(out, Violation{
+				Invariant: "seq", LPN: -1,
+				Detail: fmt.Sprintf("conn %d: response for unknown seq %d", id, seq),
+			})
+		}
+	}
 	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -109,7 +110,7 @@ func TestUnmarshalMalformed(t *testing.T) {
 func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	orig := &Message{Type: MsgWriteFwd, Seq: 7, LPNs: []int64{9}, Data: []byte("x")}
-	if err := WriteFrame(&buf, orig); err != nil {
+	if err := WriteFrameV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf)
@@ -121,9 +122,9 @@ func TestFrameIO(t *testing.T) {
 	}
 	// Oversized frame header refused.
 	var hdr bytes.Buffer
-	hdr.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&hdr); err == nil {
-		t.Error("oversized frame accepted")
+	hdr.Write([]byte{FrameMagicV2, FrameVersion2, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	if _, err := ReadFrame(&hdr); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -389,7 +390,7 @@ func TestPeerClientSeqMismatch(t *testing.T) {
 		if _, err := ReadFrame(conn); err != nil {
 			return
 		}
-		_ = WriteFrame(conn, &Message{Type: MsgHeartbeatAck, Seq: 9999})
+		_ = WriteFrameV2(conn, &Message{Type: MsgHeartbeatAck, Seq: 9999})
 	}()
 	p := newPeerClient(ln.Addr().String(), 500*time.Millisecond, nil)
 	if _, err := p.call(&Message{Type: MsgHeartbeat}); err == nil {
@@ -458,7 +459,7 @@ func (r *slowReader) Read(p []byte) (int, error) {
 func TestReadFrameFromDribblingStream(t *testing.T) {
 	var buf bytes.Buffer
 	orig := &Message{Type: MsgWriteFwd, Seq: 3, LPNs: []int64{1, 2}, Data: []byte("payload")}
-	if err := WriteFrame(&buf, orig); err != nil {
+	if err := WriteFrameV2(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&slowReader{data: buf.Bytes()})

@@ -438,7 +438,14 @@ func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []
 			}
 		}
 	}
-	rp, batchPuts := n.store.(runPutter)
+	// The put slices run parallel to toWrite; each device run below
+	// stores its sub-slice in one putRun.
+	lpns := make([]int64, len(toWrite))
+	data := make([][]byte, len(toWrite))
+	stamps := make([]uint64, len(toWrite))
+	for k, it := range toWrite {
+		lpns[k], data[k], stamps[k] = it.lpn, it.data, it.stamp
+	}
 	for i := 0; i < len(toWrite); {
 		// A device run breaks on a stream boundary as well as an LPN gap:
 		// one tagged write lands whole in its stream's active block, so a
@@ -459,30 +466,12 @@ func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []
 		// land on writers as admission backpressure — the closed loop that
 		// keeps the device model's backlog bounded.
 		n.paceDevice(wdone)
-		if batchPuts && j-i > 1 {
-			run := toWrite[i:j]
-			lpns := make([]int64, len(run))
-			data := make([][]byte, len(run))
-			stamps := make([]uint64, len(run))
-			for k, it := range run {
-				lpns[k], data[k], stamps[k] = it.lpn, it.data, it.stamp
-			}
-			if perr := rp.putRun(lpns, data, stamps); perr != nil {
-				flush()
-				return done, perr
-			}
-			atomic.AddInt64(&n.stats.Persists, int64(len(run)))
-			done = append(done, run...)
-		} else {
-			for k := i; k < j; k++ {
-				if perr := n.store.put(toWrite[k].lpn, toWrite[k].data, toWrite[k].stamp); perr != nil {
-					flush()
-					return done, perr
-				}
-				atomic.AddInt64(&n.stats.Persists, 1)
-				done = append(done, toWrite[k])
-			}
+		if perr := n.store.putRun(lpns[i:j], data[i:j], stamps[i:j]); perr != nil {
+			flush()
+			return done, perr
 		}
+		atomic.AddInt64(&n.stats.Persists, int64(j-i))
+		done = append(done, toWrite[i:j]...)
 		if n.victim != nil {
 			// Second half of the fill-admission handshake (see offerFill):
 			// re-invalidate AFTER the store mutation so a read fill that

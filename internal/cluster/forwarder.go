@@ -171,7 +171,7 @@ func (l *peerLink) sendBatch(batch []fwdEntry, inflight chan struct{}) {
 	msg, chunks := buildBatchMessage(batch)
 	// Ring frames carry the sender's identity and ownership epoch so the
 	// receiver files backups per origin and rejects frames routed under a
-	// stale layout; pair frames stay byte-identical to the pre-ring wire.
+	// stale layout; pair frames leave Origin empty and Epoch zero.
 	if rs := n.rs.Load(); rs != nil && rs.ring != nil {
 		msg.Origin, msg.Epoch = rs.self, rs.epoch
 	}

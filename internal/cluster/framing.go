@@ -11,27 +11,20 @@ import (
 	"sync"
 )
 
-// Wire format v2. A v1 frame is a 4-byte big-endian body length followed
-// by the Marshal body; since MaxFrameBytes is 16 MiB the first length
-// byte of a valid v1 frame is at most 0x01, so 0xFC is free to serve as
-// a version-carrying magic byte and both formats can share one stream
-// reader (ReadFrame sniffs the first byte).
-//
-// A v2 frame is:
+// Wire format. Every frame on a connection is:
 //
 //	[0] 0xFC magic
 //	[1] 0x02 version
 //	[2:4] reserved, must be zero
 //	[4:8] big-endian body length
 //	[8:12] big-endian CRC32-C of the body
-//	[12:12+len] body, byte-identical to the v1 Marshal encoding
+//	[12:12+len] body (layout at Message.bodyLen)
 //
-// Keeping the body encoding unchanged means Unmarshal decodes both
-// versions; what v2 adds is an integrity check (v1 trusted TCP
-// end-to-end) and, on the send side, a gather-list encoder that never
-// copies page payloads: appendFrameV2 writes the frame's metadata into
-// one pooled scratch block and splices the payload chunks in by
-// reference, so a whole send batch goes to the kernel as one writev.
+// The CRC catches corruption TCP's checksum misses. On the send side,
+// appendFrameV2 is the one body encoder and never copies page payloads:
+// it writes the frame's metadata into one pooled scratch block and
+// splices the payload chunks in by reference, so a whole send batch goes
+// to the kernel as one writev.
 // The constants are exported for wire-level observers (the chaos suite's
 // SeqChecker reassembles and CRC-verifies tapped traffic).
 const (
@@ -79,14 +72,14 @@ func releaseFrameScratch(sp *[]byte) {
 // buffers have been written. The checksum is computed here, so a payload
 // mutated between append and write is detected by the receiver.
 func appendFrameV2(bufs net.Buffers, m *Message, chunks [][]byte) (net.Buffers, *[]byte, error) {
-	if len(m.Err) > math.MaxUint16 {
-		return bufs, nil, fmt.Errorf("%w: error string too long", ErrBadFrame)
+	if err := m.checkLengths(); err != nil {
+		return bufs, nil, err
 	}
 	dataLen := len(m.Data)
 	for _, c := range chunks {
 		dataLen += len(c)
 	}
-	bodyLen := 1 + 8 + 4 + 8*len(m.LPNs) + 4 + 8*len(m.Stamps) + 4 + dataLen + 8*4 + 2 + len(m.Err) + m.extLen()
+	bodyLen := m.bodyLen(dataLen)
 	if bodyLen > MaxFrameBytes {
 		return bufs, nil, ErrFrameTooLarge
 	}
@@ -114,9 +107,19 @@ func appendFrameV2(bufs net.Buffers, m *Message, chunks [][]byte) (net.Buffers, 
 	}
 	blk = binary.BigEndian.AppendUint16(blk, uint16(len(m.Err)))
 	blk = append(blk, m.Err...)
-	// The trailing extension (stream tags + GC pressure) is metadata, so
-	// it lands in the trailing scratch piece after the payload splice.
-	blk = m.appendExt(blk)
+	blk = binary.BigEndian.AppendUint32(blk, uint32(len(m.Streams)))
+	for _, st := range m.Streams {
+		blk = append(blk, byte(st))
+	}
+	blk = binary.BigEndian.AppendUint64(blk, math.Float64bits(m.Pressure))
+	blk = binary.BigEndian.AppendUint64(blk, m.Epoch)
+	blk = binary.BigEndian.AppendUint16(blk, uint16(len(m.Origin)))
+	blk = append(blk, m.Origin...)
+	blk = binary.BigEndian.AppendUint16(blk, uint16(len(m.Members)))
+	for _, mem := range m.Members {
+		blk = binary.BigEndian.AppendUint16(blk, uint16(len(mem)))
+		blk = append(blk, mem...)
+	}
 
 	crc := crc32.Update(0, castagnoli, blk[FrameHdrV2Len:split])
 	if len(m.Data) > 0 {
@@ -142,8 +145,28 @@ func appendFrameV2(bufs net.Buffers, m *Message, chunks [][]byte) (net.Buffers, 
 	return bufs, sp, nil
 }
 
-// WriteFrameV2 writes one checksummed v2 frame to w as a single gather
-// write (one syscall on a TCP connection, versus v1's header+body pair).
+// checkLengths rejects fields whose length does not fit their u16 prefix,
+// which the encoder would otherwise truncate under a valid CRC.
+func (m *Message) checkLengths() error {
+	if len(m.Err) > math.MaxUint16 {
+		return fmt.Errorf("%w: error string too long", ErrBadFrame)
+	}
+	if len(m.Origin) > math.MaxUint16 {
+		return fmt.Errorf("%w: origin ID too long", ErrBadFrame)
+	}
+	if len(m.Members) > math.MaxUint16 {
+		return fmt.Errorf("%w: member list too long", ErrBadFrame)
+	}
+	for _, mem := range m.Members {
+		if len(mem) > math.MaxUint16 {
+			return fmt.Errorf("%w: member ID too long", ErrBadFrame)
+		}
+	}
+	return nil
+}
+
+// WriteFrameV2 writes one checksummed frame to w as a single gather
+// write (one syscall on a TCP connection).
 func WriteFrameV2(w io.Writer, m *Message) error {
 	bufs, sp, err := appendFrameV2(nil, m, nil)
 	if err != nil {
@@ -154,22 +177,23 @@ func WriteFrameV2(w io.Writer, m *Message) error {
 	return err
 }
 
-// readFrameV2 reads the remainder of a v2 frame whose first four header
-// bytes (magic, version, reserved) were already consumed by ReadFrame's
-// sniff.
-func readFrameV2(r io.Reader, hdr [4]byte) (*Message, error) {
+// ReadFrame reads one frame from r, verifying its header and checksum.
+func ReadFrame(r io.Reader) (*Message, error) {
+	var hdr [FrameHdrV2Len]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	if hdr[0] != FrameMagicV2 {
+		return nil, fmt.Errorf("%w: bad frame magic %#x", ErrBadFrame, hdr[0])
+	}
 	if hdr[1] != FrameVersion2 {
 		return nil, fmt.Errorf("%w: unsupported frame version %d", ErrBadFrame, hdr[1])
 	}
 	if hdr[2] != 0 || hdr[3] != 0 {
 		return nil, fmt.Errorf("%w: nonzero reserved frame bytes", ErrBadFrame)
 	}
-	var rest [FrameHdrV2Len - 4]byte
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(rest[:4])
-	sum := binary.BigEndian.Uint32(rest[4:])
+	n := binary.BigEndian.Uint32(hdr[4:8])
+	sum := binary.BigEndian.Uint32(hdr[8:12])
 	if n > MaxFrameBytes {
 		return nil, ErrFrameTooLarge
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 )
 
@@ -23,22 +24,14 @@ func canonMsg(t *testing.T, m *Message) *Message {
 	return &out
 }
 
-// TestFrameV2RoundTrip checks every seed message survives the v2 encoder
-// and the sniffing reader, alone and on a stream mixing v1 and v2 frames
-// (the compatibility decode path: an old peer's frames interleave with
-// new ones on the same reader).
+// TestFrameV2RoundTrip checks every seed message survives the encoder
+// and the reader, back to back on one stream.
 func TestFrameV2RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := fuzzSeedMessages()
 	for i, m := range msgs {
-		if i%2 == 0 {
-			if err := WriteFrameV2(&buf, m); err != nil {
-				t.Fatalf("msg %d: WriteFrameV2: %v", i, err)
-			}
-		} else {
-			if err := WriteFrame(&buf, m); err != nil {
-				t.Fatalf("msg %d: WriteFrame (v1): %v", i, err)
-			}
+		if err := WriteFrameV2(&buf, m); err != nil {
+			t.Fatalf("msg %d: WriteFrameV2: %v", i, err)
 		}
 	}
 	for i, want := range msgs {
@@ -107,7 +100,7 @@ func TestFrameV2Chunks(t *testing.T) {
 // TestFrameV2Corruption flips every byte of a valid v2 frame in turn:
 // each mutation must be rejected (checksum, header validation, or decode
 // error), never silently accepted as a different message and never a
-// panic. This is the property v1 never had — it trusted TCP end to end.
+// panic.
 func TestFrameV2Corruption(t *testing.T) {
 	m := &Message{Type: MsgWriteFwd, Seq: 77, LPNs: []int64{5, 6}, Stamps: []uint64{8, 9}, Data: []byte("payload-bytes")}
 	var buf bytes.Buffer
@@ -198,6 +191,27 @@ func TestFrameV2OversizeEncode(t *testing.T) {
 	}
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("got %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestFrameV2RejectsLongFields checks the encoder refuses any field too
+// long for its u16 length prefix instead of writing a truncated length
+// under a valid CRC.
+func TestFrameV2RejectsLongFields(t *testing.T) {
+	long := strings.Repeat("x", 70000)
+	for name, m := range map[string]*Message{
+		"origin":      {Type: MsgWriteFwd, Origin: long},
+		"err":         {Type: MsgError, Err: long},
+		"member":      {Type: MsgMembership, Epoch: 1, Members: []string{"a:1", long}},
+		"member list": {Type: MsgMembership, Epoch: 1, Members: make([]string, 1<<16)},
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrameV2(&buf, m); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: got %v, want ErrBadFrame", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("%s: %d bytes written for a refused frame", name, buf.Len())
+		}
 	}
 }
 

@@ -11,28 +11,24 @@ import (
 	"flashcoop/internal/stream"
 )
 
-// messagesEqual compares two messages field by field, with Info floats
-// compared bitwise: the wire format preserves NaN payloads exactly, but
-// NaN != NaN under reflect.DeepEqual. Pressure is the one float compared
-// by VALUE (plus a both-NaN case): the trailing extension is omitted
-// when Pressure == 0, and -0.0 == 0, so a decoded -0.0 legitimately
-// re-encodes to +0.0 — a bitwise comparison would flag that as drift.
+// messagesEqual compares two messages field by field, with the floats
+// compared bitwise: the wire format preserves NaN payloads and signed
+// zeros exactly, but NaN != NaN under reflect.DeepEqual.
 func messagesEqual(a, b *Message) bool {
-	bits := func(i Info) [4]uint64 {
-		return [4]uint64{
+	bits := func(m *Message) [5]uint64 {
+		i := m.Info
+		return [5]uint64{
 			math.Float64bits(i.WriteFrac), math.Float64bits(i.Mem),
 			math.Float64bits(i.CPU), math.Float64bits(i.Net),
+			math.Float64bits(m.Pressure),
 		}
 	}
-	pressureEq := a.Pressure == b.Pressure ||
-		(math.IsNaN(a.Pressure) && math.IsNaN(b.Pressure))
 	return a.Type == b.Type && a.Seq == b.Seq && a.Err == b.Err &&
 		reflect.DeepEqual(a.LPNs, b.LPNs) &&
 		reflect.DeepEqual(a.Stamps, b.Stamps) &&
 		bytes.Equal(a.Data, b.Data) &&
 		reflect.DeepEqual(a.Streams, b.Streams) &&
-		pressureEq &&
-		bits(a.Info) == bits(b.Info) &&
+		bits(a) == bits(b) &&
 		a.Epoch == b.Epoch && a.Origin == b.Origin &&
 		reflect.DeepEqual(a.Members, b.Members)
 }
@@ -331,38 +327,6 @@ func FuzzDecodeEpoch(f *testing.F) {
 		case MsgError:
 		default:
 			t.Fatalf("forward frame answered with %v, want write-ack or error", resp.Type)
-		}
-	})
-}
-
-// FuzzReadFrame feeds arbitrary byte streams to the length-prefixed frame
-// reader: it must reject garbage with an error, never panic, and never
-// accept a frame whose re-encoding differs.
-func FuzzReadFrame(f *testing.F) {
-	for _, m := range fuzzSeedMessages() {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, m); err != nil {
-			t.Fatalf("accepted frame failed to re-encode: %v", err)
-		}
-		m2, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded frame failed to read back: %v", err)
-		}
-		if !messagesEqual(m, m2) {
-			t.Fatalf("frame round trip changed the message:\n  first:  %+v\n  second: %+v", m, m2)
 		}
 	})
 }

@@ -36,19 +36,13 @@ type groupCommit struct {
 	reqs     chan syncReq
 	stop     <-chan struct{}
 	stats    *LiveStats
-
-	// barrierMu serializes whole-filesystem barrier passes. Targets are
-	// re-read under it, so a pass that queued behind a barrier covering
-	// its sections piggybacks instead of issuing another syncfs — the
-	// cross-file analogue of fileStore.flush's generation check.
-	barrierMu sync.Mutex
 }
 
 // syncReq is one durable-after request: fsync section, then complete done
 // with the outcome. pages is accounting only (pages covered by the
 // request's persist batch).
 type syncReq struct {
-	section pageStore
+	section section
 	pages   int
 	done    chan error
 }
@@ -67,8 +61,8 @@ func newGroupCommit(interval time.Duration, maxBatch int, stop <-chan struct{}, 
 // after the caller's puts) completes, and returns that section's fsync
 // outcome. During shutdown it fails conservatively with errNodeClosing:
 // the caller treats that as a persist failure and keeps its pages pinned.
-func (g *groupCommit) sync(section pageStore, pages int) error {
-	r := syncReq{section: section, pages: pages, done: make(chan error, 1)}
+func (g *groupCommit) sync(sec section, pages int) error {
+	r := syncReq{section: sec, pages: pages, done: make(chan error, 1)}
 	select {
 	case g.reqs <- r:
 	case <-g.stop:
@@ -93,11 +87,11 @@ func (g *groupCommit) sync(section pageStore, pages int) error {
 // run is the coordinator goroutine: gather a batch (first request blocks,
 // then drain everything queued, then optionally linger for interval),
 // dispatch the pass, repeat. The gather overlaps the previous pass's sync
-// — while pass P's barrier or fsyncs are in flight, arriving requests
-// accumulate into pass P+1 instead of dispatching one thin pass each.
-// That in-flight window is what creates real batches under steady load:
-// a sync takes a device round trip, many evictors land requests inside
-// it, and the next pass covers them all with one barrier. Exactly one
+// — while pass P's fsyncs are in flight, arriving requests accumulate
+// into pass P+1 instead of dispatching one thin pass each. That in-flight
+// window is what creates real batches under steady load: a sync takes a
+// device round trip, many evictors land requests inside it, and the next
+// pass covers them all with one fsync per section. Exactly one
 // pass is in flight at a time, but evictors still pipeline — each one's
 // persist stage for batch k+1 overlaps its sync wait for batch k.
 func (g *groupCommit) run(wg *sync.WaitGroup) {
@@ -108,12 +102,9 @@ func (g *groupCommit) run(wg *sync.WaitGroup) {
 	// fills, every request dispatches immediately, and the store-level
 	// generation dedup is all the coalescing needed; when the medium
 	// slows down the window fills, gathering overlaps the oldest
-	// in-flight pass, real multi-section batches form, and the
-	// filesystem barrier amortizes them — batching appears exactly when
-	// syncs are expensive enough to be worth batching. Concurrent
-	// barrier passes serialize on barrierMu, where the re-read targets
-	// turn a follow-up syncfs into a piggyback when the first barrier
-	// already covered it.
+	// in-flight pass and real multi-section batches form — batching
+	// appears exactly when syncs are expensive enough to be worth
+	// batching.
 	var inflight []<-chan struct{}
 	for {
 		batch = batch[:0]
@@ -192,10 +183,9 @@ func (g *groupCommit) run(wg *sync.WaitGroup) {
 const passWindow = 4
 
 // pass dispatches one coalesced fsync: group the batch's waiters by store
-// section, settle every distinct section — one whole-filesystem barrier
-// when the sections support it, else one fsync per section (concurrently;
-// they are independent files) — and complete every waiter with its
-// section's error. It does not wait for the fsyncs itself; the returned
+// section, fsync every distinct section once (concurrently; they are
+// independent files), and complete every waiter with its section's
+// error. It does not wait for the fsyncs itself; the returned
 // channel closes when the pass has settled, and run() uses it to gather
 // the next batch for exactly that long.
 func (g *groupCommit) pass(batch []syncReq) <-chan struct{} {
@@ -215,7 +205,7 @@ func (g *groupCommit) pass(batch []syncReq) <-chan struct{} {
 		return settled
 	}
 	works := make([]sectionWork, 0, len(batch))
-	idx := make(map[pageStore]int, len(batch))
+	idx := make(map[section]int, len(batch))
 	for _, r := range batch {
 		i, ok := idx[r.section]
 		if !ok {
@@ -224,18 +214,6 @@ func (g *groupCommit) pass(batch []syncReq) <-chan struct{} {
 			works = append(works, sectionWork{section: r.section})
 		}
 		works[i].reqs = append(works[i].reqs, r)
-	}
-	// Several distinct sections pending at once is the case per-section
-	// fsyncs scale badly on: each section file pays its own journal
-	// commit, so the pass costs O(shards) syscalls. When every section
-	// can take part (file-backed, same-node DataDir, platform has
-	// syncfs), one filesystem-wide barrier covers them all.
-	if len(works) > 1 && barrierCapable(works) {
-		go func() {
-			defer close(settled)
-			g.barrier(works)
-		}()
-		return settled
 	}
 	var workers sync.WaitGroup
 	for i := range works {
@@ -255,65 +233,13 @@ func (g *groupCommit) pass(batch []syncReq) <-chan struct{} {
 
 // sectionWork is one distinct section's share of a pass.
 type sectionWork struct {
-	section pageStore
+	section section
 	reqs    []syncReq
 }
 
 func (w sectionWork) complete(err error) {
 	for _, r := range w.reqs {
 		r.done <- err
-	}
-}
-
-// barrierCapable reports whether every section in the pass advertises the
-// whole-filesystem barrier capability.
-func barrierCapable(works []sectionWork) bool {
-	for _, w := range works {
-		b, ok := w.section.(fsBarrier)
-		if !ok || !b.barrierReady() {
-			return false
-		}
-	}
-	return true
-}
-
-// barrier settles one multi-section pass with a single syncfs. Targets
-// are captured before the barrier and published after it, so any put
-// racing the syscall stays pending for a later pass. On a barrier error
-// each section falls back to its own fsync and reports its own outcome —
-// a failed syncfs says nothing about which section's data is at risk.
-func (g *groupCommit) barrier(works []sectionWork) {
-	g.barrierMu.Lock()
-	defer g.barrierMu.Unlock()
-	type pendingSec struct {
-		w      sectionWork
-		b      fsBarrier
-		target uint64
-	}
-	pending := make([]pendingSec, 0, len(works))
-	for _, w := range works {
-		b := w.section.(fsBarrier)
-		if target, ok := b.syncTarget(); ok {
-			pending = append(pending, pendingSec{w: w, b: b, target: target})
-		} else {
-			// Covered by a barrier or fsync that completed after this pass
-			// was dispatched; the waiters' puts preceded it, so durable.
-			w.complete(nil)
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	if err := pending[0].b.syncFS(); err != nil {
-		for _, p := range pending {
-			p.w.complete(p.w.section.flush())
-		}
-		return
-	}
-	atomic.AddInt64(&g.stats.FsBarriers, 1)
-	for _, p := range pending {
-		p.b.markSynced(p.target)
-		p.w.complete(nil)
 	}
 }
 

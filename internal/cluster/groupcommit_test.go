@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// flushCountStore is a pageStore stub that counts flushes and can fail.
+// flushCountStore is a store-section stub that counts flushes and can fail.
 type flushCountStore struct {
 	memStore
 	flushes atomic.Int64
@@ -144,59 +144,6 @@ func TestGroupCommitSelfClockedCoalesces(t *testing.T) {
 	callers.Wait()
 	if got := sec.flushes.Load(); got >= waiters*2/3 {
 		t.Fatalf("%d flushes for %d overlapping waiters; the in-flight window is not batching", got, waiters)
-	}
-}
-
-// TestGroupCommitBarrier checks a pass spanning several barrier-capable
-// sections settles with one whole-filesystem barrier: every waiter
-// completes durable and every section's sync generation advances.
-func TestGroupCommitBarrier(t *testing.T) {
-	if !hasSyncFS {
-		t.Skip("platform has no syncfs; barrier passes cannot run")
-	}
-	dir := t.TempDir()
-	stop := make(chan struct{})
-	defer close(stop)
-	var stats LiveStats
-	gc := newGroupCommit(10*time.Millisecond, 64, stop, &stats)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go gc.run(&wg)
-
-	const pageSize = 64
-	secs := make([]*fileStore, 3)
-	for i := range secs {
-		s, err := newFileStoreAt(dir, shardStoreName(i), pageSize, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.close()
-		s.barrier = true
-		if err := s.put(int64(i), make([]byte, pageSize), 1); err != nil {
-			t.Fatal(err)
-		}
-		secs[i] = s
-	}
-	var callers sync.WaitGroup
-	for _, s := range secs {
-		for j := 0; j < 2; j++ {
-			callers.Add(1)
-			go func(s *fileStore) {
-				defer callers.Done()
-				if err := gc.sync(s, 1); err != nil {
-					t.Errorf("sync: %v", err)
-				}
-			}(s)
-		}
-	}
-	callers.Wait()
-	if atomic.LoadInt64(&stats.FsBarriers) == 0 {
-		t.Fatal("no pass settled via the filesystem barrier")
-	}
-	for i, s := range secs {
-		if target, ok := s.syncTarget(); ok {
-			t.Fatalf("section %d still pending generation %d after the barrier", i, target)
-		}
 	}
 }
 

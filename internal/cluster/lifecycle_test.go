@@ -170,7 +170,7 @@ func stubPartner(t *testing.T, handler func(m *Message) *Message) string {
 						continue
 					}
 					resp.Seq = m.Seq
-					if err := WriteFrame(conn, resp); err != nil {
+					if err := WriteFrameV2(conn, resp); err != nil {
 						return
 					}
 				}

@@ -105,13 +105,6 @@ type LiveConfig struct {
 	// caps the requests absorbed into one pass; default 4×Shards.
 	SyncInterval time.Duration
 	MaxSyncBatch int
-	// SyncBarrier lets the coordinator settle a multi-section pass with
-	// one whole-filesystem barrier (Linux syncfs) instead of per-section
-	// fsyncs. Opt-in: it is a clear win only when DataDir sits on its own
-	// filesystem — syncfs flushes everything dirty on the filesystem, so
-	// on a shared one the pass inherits every other tenant's writeback as
-	// tail latency. Ignored where syncfs is unavailable.
-	SyncBarrier bool
 
 	HeartbeatInterval time.Duration // default 500ms
 	FailureThreshold  int           // default 3
@@ -309,7 +302,6 @@ type LiveStats struct {
 	// Group-commit fsync counters (see groupcommit.go).
 	GroupCommitBatches int64 // coalesced fsync passes run by the coordinator
 	PagesSynced        int64 // pages covered by those passes (PagesSynced/GroupCommitBatches = pages per sync)
-	FsBarriers         int64 // passes settled by one whole-filesystem barrier instead of per-section fsyncs
 
 	// Lifecycle counters (see lifecycle.go).
 	Suspects       int64 // Healthy→Suspect transitions (first heartbeat miss)
@@ -403,7 +395,7 @@ type LiveNode struct {
 	buf      *buffer.Sharded
 	shards   []liveShard
 	stampCtr atomic.Uint64 // monotonic write stamp; resumes from store.maxStamp()
-	store    pageStore     // the "SSD" contents (durable medium); internally synchronized
+	store    *shardedStore // the "SSD" contents (durable medium); internally synchronized
 	victim   *victim.Cache // flash victim-cache tier; nil when disabled
 	gc       *groupCommit  // fsync coordinator; nil when sync writes are off or disabled
 	devMu    sync.Mutex    // serializes the timing/wear model (ssd.Device is not thread-safe)
@@ -517,13 +509,13 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		return nil, fmt.Errorf("cluster %s: %w", cfg.Name, err)
 	}
 	ns := buf.NumShards()
-	var store pageStore = newShardedMemStore(ns, dev.PagesPerBlock())
+	store := newShardedMemStore(ns, dev.PagesPerBlock())
 	if cfg.DataDir != "" {
 		fsys := cfg.FS
 		if fsys == nil {
 			fsys = faultfs.OS()
 		}
-		store, err = newShardedFileStore(fsys, cfg.DataDir, dev.PageSize(), cfg.SyncWrites, cfg.SyncBarrier, ns, dev.PagesPerBlock())
+		store, err = newShardedFileStore(fsys, cfg.DataDir, dev.PageSize(), cfg.SyncWrites, ns, dev.PagesPerBlock())
 		if err != nil {
 			return nil, err
 		}
@@ -640,23 +632,15 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 // least every put that preceded the call. With the group-commit
 // coordinator running, the request coalesces with every other pending
 // section sync into one batched fsync pass; otherwise it degrades to the
-// direct per-section flush.
+// direct per-section flush. Only the one section is synced: a persist
+// batch always stays within one shard, and syncing the sibling sections
+// too would convoy every evictor's fsync stream on every other's.
 func (n *LiveNode) syncSection(anchor int64, pages int) error {
+	sec := n.store.sub(anchor)
 	if n.gc != nil {
-		return n.gc.sync(n.sectionFor(anchor), pages)
+		return n.gc.sync(sec, pages)
 	}
-	if sf, ok := n.store.(sectionedStore); ok {
-		return sf.flushOf(anchor)
-	}
-	return n.store.flush()
-}
-
-// sectionFor resolves the store section an lpn's persists land in.
-func (n *LiveNode) sectionFor(anchor int64) pageStore {
-	if ss, ok := n.store.(*shardedStore); ok {
-		return ss.sub(anchor)
-	}
-	return n.store
+	return sec.flush()
 }
 
 func (n *LiveNode) getPage() []byte  { return n.pagePool.Get().([]byte) }
@@ -737,7 +721,6 @@ func (n *LiveNode) Stats() LiveStats {
 		DiscardDeferrals:   atomic.LoadInt64(&n.stats.DiscardDeferrals),
 		GroupCommitBatches: atomic.LoadInt64(&n.stats.GroupCommitBatches),
 		PagesSynced:        atomic.LoadInt64(&n.stats.PagesSynced),
-		FsBarriers:         atomic.LoadInt64(&n.stats.FsBarriers),
 		Suspects:           atomic.LoadInt64(&n.stats.Suspects),
 		Probes:             atomic.LoadInt64(&n.stats.Probes),
 		ProbeFailures:      atomic.LoadInt64(&n.stats.ProbeFailures),
@@ -1053,7 +1036,7 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 	// off the hot path until a poisoning actually happens.
 	if n.poisonedAny.Load() {
 		for i := 0; i < pages; i++ {
-			if psn, ok := n.sectionFor(lpn + int64(i)).(poisonedSection); ok && psn.storePoisoned() {
+			if n.store.sub(lpn + int64(i)).poisoned() {
 				return fmt.Errorf("cluster %s: %w", n.cfg.Name, ErrSyncPoisoned)
 			}
 		}
@@ -1500,7 +1483,7 @@ func (n *LiveNode) recoverFromLink(l *peerLink, origin string) error {
 		// The stale-skip additionally demands the local record verify: a
 		// corrupt local copy with a winning stamp must NOT suppress the
 		// only intact version of the page the ring still holds.
-		if local, ok := n.store.getStamp(lpn); ok && local >= st && storeVerify(n.store, lpn) {
+		if local, ok := n.store.getStamp(lpn); ok && local >= st && n.store.verify(lpn) {
 			atomic.AddInt64(&n.stats.StaleRecoverySkips, 1)
 			sh.persistMu.Unlock()
 			continue
@@ -1669,10 +1652,8 @@ func (n *LiveNode) serveConn(conn net.Conn) {
 		}
 		resp := n.handle(msg)
 		resp.Seq = msg.Seq
-		// Replies go out in the v2 format: one gather write per ack
-		// instead of v1's header+body pair, and the checksum protects
-		// the RCT recovery payloads. ReadFrame on the other side accepts
-		// both formats, so a v1 sender still gets its replies decoded.
+		// One gather write per reply; the checksum also protects the
+		// RCT recovery payloads.
 		if err := WriteFrameV2(conn, resp); err != nil {
 			return
 		}

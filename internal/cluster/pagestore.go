@@ -24,17 +24,19 @@ import (
 // clears it.
 var ErrSyncPoisoned = errors.New("cluster: store section poisoned by failed fsync")
 
-// pageStore is the durable medium behind a live node: what survives once a
-// page has been flushed from the cooperative buffer. Each page carries its
-// write stamp (the node's monotonic per-page version) so that crash
-// recovery can tell a stale peer backup from newer durable data.
+// section is one stripe of the durable medium behind a live node: what
+// survives once a page has been flushed from the cooperative buffer. Each
+// page carries its write stamp (the node's monotonic per-page version) so
+// that crash recovery can tell a stale peer backup from newer durable
+// data. A node's store is a shardedStore of sections, one per buffer
+// shard.
 //
-// Implementations are safe for concurrent use: the sharded live node
-// persists from several shard sections at once, so stores synchronize
-// internally instead of leaning on a caller's lock. get returns a copy
-// that the caller owns — mutating a read result can never corrupt the
-// store.
-type pageStore interface {
+// Implementations are safe for concurrent use: reads, repair, and
+// recovery reach a section beside its shard's evictor, so sections
+// synchronize internally instead of leaning on a caller's lock. get
+// returns a copy that the caller owns — mutating a read result can never
+// corrupt the store.
+type section interface {
 	// get returns a copy of the stored payload for lpn, or nil when absent
 	// (or, for checksummed stores, when the record fails verification).
 	get(lpn int64) []byte
@@ -42,6 +44,10 @@ type pageStore interface {
 	getStamp(lpn int64) (uint64, bool)
 	// put stores the payload (exactly one page) with its write stamp.
 	put(lpn int64, data []byte, stamp uint64) error
+	// putRun stores a run of consecutive-LPN pages (parallel slices) with
+	// the same semantics as put page by page; file sections coalesce
+	// records that land in adjacent slots into single pwrites.
+	putRun(lpns []int64, data [][]byte, stamps []uint64) error
 	// remove deletes the page (TRIM).
 	remove(lpn int64) error
 	// pages reports how many pages are stored.
@@ -54,74 +60,21 @@ type pageStore interface {
 	// unit pays one sync, not one per page.
 	flush() error
 	close() error
-}
-
-// sectionedStore is the optional per-section sync extension: flushOf makes
-// only the section holding lpn durable. The sharded store implements it so
-// a persist batch (always within one shard) syncs one file, not all.
-type sectionedStore interface {
-	flushOf(lpn int64) error
-}
-
-// fsBarrier is the optional whole-filesystem durability extension. All of
-// one node's section files live in a single DataDir, so on hosts with
-// syncfs(2) the group-commit coordinator can settle a pass spanning many
-// sections with ONE filesystem-wide barrier instead of one fsync per
-// section file — the per-pass syscall count stops scaling with the shard
-// count. The barrier is opt-in (LiveConfig.SyncBarrier): syncfs flushes
-// EVERYTHING dirty on the filesystem, so it only wins when the DataDir
-// sits on its own filesystem; on a shared one it inherits every other
-// tenant's writeback as tail latency. The protocol is: read each pending
-// section's syncTarget, issue
-// syncFS through any one of them, then markSynced the captured targets.
-// Any put racing the barrier lands in a later generation and stays
-// pending, exactly like the per-file generation check in fileStore.flush.
-type fsBarrier interface {
-	// barrierReady reports whether the section can take part in a
-	// filesystem barrier (sync mode on, platform has syncfs).
-	barrierReady() bool
-	// syncTarget returns the put generation a barrier must cover for this
-	// section's pending puts; ok is false when it is already durable.
-	syncTarget() (target uint64, ok bool)
-	// syncFS issues one durability barrier over the whole filesystem
-	// holding the section, covering every sibling section on it too.
-	syncFS() error
-	// markSynced records that an external barrier covered generation
-	// target, so later flushes of already-covered puts become no-ops.
-	markSynced(target uint64)
-}
-
-// runPutter is the optional batched-put extension: store a run of
-// consecutive-LPN pages in one shot, letting file-backed stores coalesce
-// records that land in adjacent slots into single pwrites. The slices run
-// parallel; semantics are identical to calling put page by page.
-type runPutter interface {
-	putRun(lpns []int64, data [][]byte, stamps []uint64) error
-}
-
-// storeVerifier is the optional integrity extension: verify re-reads and
-// checksums lpn's record without mutating any counters, reporting whether
-// the local durable copy is intact. Recovery and repair use it to decide
-// whether a stamp comparison against a peer copy can be trusted.
-type storeVerifier interface {
+	// verify re-reads and checksums lpn's record without mutating any
+	// counters, reporting whether the local durable copy is intact.
+	// Recovery and repair use it to decide whether a stamp comparison
+	// against a peer copy can be trusted.
 	verify(lpn int64) bool
-}
-
-// corruptTracker is the optional corruption-accounting extension.
-type corruptTracker interface {
 	// takeCorrupt drains the LPNs of records that failed verification at
-	// load time (their lpn self-description was still parseable) — repair
-	// candidates for the ring.
+	// load time (their lpn self-description was still parseable) —
+	// repair candidates for the ring.
 	takeCorrupt() []int64
 	// corruptCount reports how many corrupt records have been detected
-	// over the store's lifetime (load + runtime).
+	// over the section's lifetime (load + runtime).
 	corruptCount() int64
-}
-
-// poisonedSection is the optional fsync-poison extension (see
-// ErrSyncPoisoned).
-type poisonedSection interface {
-	storePoisoned() bool
+	// poisoned reports whether a failed fsync has latched the section
+	// (see ErrSyncPoisoned).
+	poisoned() bool
 }
 
 // memStore is the default in-memory medium (contents die with the process,
@@ -189,11 +142,27 @@ func (s *memStore) maxStamp() uint64 {
 	return s.max
 }
 
+func (s *memStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
+	for i, lpn := range lpns {
+		if err := s.put(lpn, data[i], stamps[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (s *memStore) flush() error { return nil }
 
 func (s *memStore) close() error { return nil }
 
-// On-disk format (v1). The file opens with a 16-byte header:
+// A memStore holds no integrity metadata: every record is intact and the
+// section can never be poisoned.
+func (s *memStore) verify(int64) bool    { return true }
+func (s *memStore) takeCorrupt() []int64 { return nil }
+func (s *memStore) corruptCount() int64  { return 0 }
+func (s *memStore) poisoned() bool       { return false }
+
+// On-disk format. The file opens with a 16-byte header:
 //
 //	[4B magic "FCPS"][1B version][3B zero][4B BE page size][4B zero]
 //
@@ -207,9 +176,8 @@ func (s *memStore) close() error { return nil }
 // bit 0 set, lpn = -1, stamp = 0), so a free slot's stale payload bytes
 // never count against it. The lpn in the record is self-description: a
 // read that returns a VALID record for the WRONG lpn (a misdirected
-// write) fails verification just like a torn one. Legacy v0 files
-// ([8B lpn][8B stamp][payload] per record, no file header, no checksums)
-// are migrated to v1 once at open via a write-to-temp + rename.
+// write) fails verification just like a torn one. A file without the
+// header is refused at open, never reinterpreted.
 var storeMagic = [4]byte{'F', 'C', 'P', 'S'}
 
 const (
@@ -217,14 +185,12 @@ const (
 	storeHeaderSize = 16
 	slotHeaderSize  = 24
 	slotFlagFree    = 1 // flags bit 0: record is a free slot
-	slotHeaderV0    = 16
 )
 
 // freeSlotMarker marks a deleted record (the lpn field of a free slot).
 const freeSlotMarker = int64(-1)
 
-// encodeSlot fills rec (slotHeaderSize+len(payload) bytes) with a live v1
-// record.
+// encodeSlot fills rec (slotHeaderSize+len(payload) bytes) with a live record.
 func encodeSlot(rec []byte, lpn int64, stamp uint64, payload []byte) {
 	rec[4], rec[5], rec[6], rec[7] = 0, 0, 0, 0
 	binary.BigEndian.PutUint64(rec[8:16], uint64(lpn))
@@ -233,8 +199,8 @@ func encodeSlot(rec []byte, lpn int64, stamp uint64, payload []byte) {
 	binary.BigEndian.PutUint32(rec[:4], crc32.Checksum(rec[4:], castagnoli))
 }
 
-// encodeFreeSlot fills hdr (at least slotHeaderSize bytes) with a free v1
-// record header; payload bytes beyond it are not covered by the CRC.
+// encodeFreeSlot fills hdr (at least slotHeaderSize bytes) with a free record
+// header; payload bytes beyond it are not covered by the CRC.
 func encodeFreeSlot(hdr []byte) {
 	hdr[4], hdr[5], hdr[6], hdr[7] = slotFlagFree, 0, 0, 0
 	marker := freeSlotMarker // via a variable: uint64(-1) is a constant overflow
@@ -243,7 +209,7 @@ func encodeFreeSlot(hdr []byte) {
 	binary.BigEndian.PutUint32(hdr[:4], crc32.Checksum(hdr[4:slotHeaderSize], castagnoli))
 }
 
-// decodeSlot validates one v1 record carrying a pageSize-byte payload.
+// decodeSlot validates one record carrying a pageSize-byte payload.
 // ok=false means the record is torn, bit-rotted, or malformed; free
 // reports a (valid) free slot.
 func decodeSlot(rec []byte, pageSize int) (lpn int64, stamp uint64, free, ok bool) {
@@ -277,14 +243,13 @@ func decodeSlot(rec []byte, pageSize int) (lpn int64, stamp uint64, free, ok boo
 }
 
 // fileStore persists pages in a single slotted file so a restarted daemon
-// keeps its data (see the v1 format comment above). The index is rebuilt
+// keeps its data (see the format comment above). The index is rebuilt
 // by scanning — and checksumming — every record at open; corrupt records
 // are freed, counted, and their self-described LPNs queued as repair
 // candidates.
 type fileStore struct {
 	mu       sync.Mutex
 	f        faultfs.File
-	fsys     faultfs.FS
 	path     string
 	pageSize int
 	index    map[int64]fileSlot // lpn -> slot + cached stamp
@@ -292,7 +257,6 @@ type fileStore struct {
 	slots    int64              // total slots in the file
 	max      uint64             // largest stamp seen
 	sync     bool               // fsync on flush
-	barrier  bool               // advertise the whole-filesystem barrier (see fsBarrier)
 	puts     uint64             // write generation: bumped by every put
 	suspects []int64            // load-time corrupt records with a parseable lpn
 
@@ -301,7 +265,7 @@ type fileStore struct {
 	corrupt atomic.Int64
 	// onCorrupt, when set, is invoked (outside mu) with the lpn of each
 	// newly detected corrupt record — the node hooks this to queue ring
-	// repair. Set before the node's goroutines start, like barrier.
+	// repair. Set before the node's goroutines start.
 	onCorrupt func(lpn int64)
 
 	// Fsync-poison latch (see ErrSyncPoisoned): once an fsync fails, the
@@ -319,22 +283,9 @@ type fileStore struct {
 	// pipeline depends on. synced is the put generation the last completed
 	// sync covered; a flush whose target generation is already covered
 	// returns without another fsync — concurrent flushes group-commit at
-	// the file level. It is atomic (advanced monotonically) rather than
-	// syncMu-guarded so the coordinator's filesystem barrier can publish
-	// coverage without queueing behind an in-flight per-file fsync.
+	// the file level.
 	syncMu sync.Mutex
-	synced atomic.Uint64
-}
-
-// advanceSynced raises gen to at least v, never lowering it: coverage from
-// a barrier and from a per-file fsync may land in either order.
-func advanceSynced(gen *atomic.Uint64, v uint64) {
-	for {
-		cur := gen.Load()
-		if v <= cur || gen.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	synced uint64 // guarded by syncMu
 }
 
 type fileSlot struct {
@@ -380,7 +331,6 @@ func newFileStoreFS(fsys faultfs.FS, dir, name string, pageSize int, syncWrites 
 	}
 	s := &fileStore{
 		f:        f,
-		fsys:     fsys,
 		path:     path,
 		pageSize: pageSize,
 		index:    make(map[int64]fileSlot),
@@ -408,8 +358,9 @@ func (s *fileStore) writeHeader() error {
 	return nil
 }
 
-// load rebuilds the index from the slotted file, migrating legacy v0
-// files to the checksummed v1 format first.
+// load rebuilds the index from the slotted file. A file that does not
+// open with the store header is refused untouched: scanning it as slots
+// would free every record as corrupt.
 func (s *fileStore) load() error {
 	size, err := s.f.Size()
 	if err != nil {
@@ -424,32 +375,25 @@ func (s *fileStore) load() error {
 			return fmt.Errorf("cluster: pagestore load: %w", err)
 		}
 	}
-	if size >= storeHeaderSize && bytes.Equal(hdr[:4], storeMagic[:]) {
-		if hdr[4] != storeVersion {
-			return fmt.Errorf("cluster: pagestore %s: unsupported format version %d", s.path, hdr[4])
-		}
-		if ps := int(binary.BigEndian.Uint32(hdr[8:12])); ps != s.pageSize {
-			return fmt.Errorf("cluster: pagestore %s: page size %d on disk, opened with %d (page size or format mismatch?)",
-				s.path, ps, s.pageSize)
-		}
-		return s.loadV1(size)
+	if size < storeHeaderSize || !bytes.Equal(hdr[:4], storeMagic[:]) {
+		return fmt.Errorf("cluster: pagestore %s: no %q header (not a page store file)", s.path, storeMagic[:])
 	}
-	if err := s.migrateV0(size); err != nil {
-		return err
+	if hdr[4] != storeVersion {
+		return fmt.Errorf("cluster: pagestore %s: unsupported format version %d", s.path, hdr[4])
 	}
-	size, err = s.f.Size()
-	if err != nil {
-		return fmt.Errorf("cluster: pagestore: %w", err)
+	if ps := int(binary.BigEndian.Uint32(hdr[8:12])); ps != s.pageSize {
+		return fmt.Errorf("cluster: pagestore %s: page size %d on disk, opened with %d (page size or format mismatch?)",
+			s.path, ps, s.pageSize)
 	}
-	return s.loadV1(size)
+	return s.loadRecords(size)
 }
 
-// loadV1 scans and verifies every record. Corrupt records are counted,
+// loadRecords scans and verifies every record. Corrupt records are counted,
 // their slot freed (a clean free header is written over them so later
 // scrub passes stay quiet), and their self-described lpn — when it parses
 // — queued as a repair suspect for the ring. A trailing partial record
 // (torn append at crash) is normalized into a free slot the same way.
-func (s *fileStore) loadV1(size int64) error {
+func (s *fileStore) loadRecords(size int64) error {
 	rs := s.recordSize()
 	body := size - storeHeaderSize
 	s.slots = body / rs
@@ -492,73 +436,6 @@ func (s *fileStore) freeSlotOnDisk(slot int64) {
 	rec := make([]byte, s.recordSize())
 	encodeFreeSlot(rec)
 	s.f.WriteAt(rec, s.slotOff(slot)) //nolint:errcheck // best effort
-}
-
-// migrateV0 rewrites a legacy (un-checksummed) file as v1 via a temp file
-// and an atomic rename; free v0 slots are compacted away. A crash before
-// the rename leaves the original untouched; stale temp files are removed
-// at the next open.
-func (s *fileStore) migrateV0(size int64) error {
-	rsV0 := int64(slotHeaderV0 + s.pageSize)
-	if size%rsV0 != 0 {
-		return fmt.Errorf("cluster: pagestore size %d not a multiple of record size %d (page size or format mismatch?)",
-			size, rsV0)
-	}
-	tmp := s.path + ".migrate"
-	s.fsys.Remove(tmp) //nolint:errcheck // stale leftovers only
-	nf, err := s.fsys.OpenFile(tmp)
-	if err != nil {
-		return fmt.Errorf("cluster: pagestore migrate: %w", err)
-	}
-	fail := func(err error) error {
-		nf.Close()
-		s.fsys.Remove(tmp) //nolint:errcheck
-		return fmt.Errorf("cluster: pagestore migrate: %w", err)
-	}
-	var hdr [storeHeaderSize]byte
-	copy(hdr[:4], storeMagic[:])
-	hdr[4] = storeVersion
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(s.pageSize))
-	if _, err := nf.WriteAt(hdr[:], 0); err != nil {
-		return fail(err)
-	}
-	rs := s.recordSize()
-	old := make([]byte, rsV0)
-	rec := make([]byte, rs)
-	out := int64(0)
-	for slot := int64(0); slot < size/rsV0; slot++ {
-		if _, err := s.f.ReadAt(old, slot*rsV0); err != nil {
-			return fail(err)
-		}
-		lpn := int64(binary.BigEndian.Uint64(old[:8]))
-		if lpn == freeSlotMarker {
-			continue
-		}
-		if lpn < 0 {
-			return fail(fmt.Errorf("corrupt lpn %d at v0 slot %d", lpn, slot))
-		}
-		encodeSlot(rec, lpn, binary.BigEndian.Uint64(old[8:16]), old[slotHeaderV0:])
-		if _, err := nf.WriteAt(rec, storeHeaderSize+out*rs); err != nil {
-			return fail(err)
-		}
-		out++
-	}
-	if err := nf.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := nf.Close(); err != nil {
-		return fail(err)
-	}
-	s.f.Close()
-	if err := s.fsys.Rename(tmp, s.path); err != nil {
-		return fmt.Errorf("cluster: pagestore migrate rename: %w", err)
-	}
-	f, err := s.fsys.OpenFile(s.path)
-	if err != nil {
-		return fmt.Errorf("cluster: pagestore migrate reopen: %w", err)
-	}
-	s.f = f
-	return nil
 }
 
 // get returns the verified payload for lpn, or nil. A record that fails
@@ -658,7 +535,7 @@ func (s *fileStore) takeCorrupt() []int64 {
 
 func (s *fileStore) corruptCount() int64 { return s.corrupt.Load() }
 
-func (s *fileStore) storePoisoned() bool { return s.poisonFlag.Load() }
+func (s *fileStore) poisoned() bool { return s.poisonFlag.Load() }
 
 // poison latches a permanent sync failure (see ErrSyncPoisoned) and
 // returns the latched error.
@@ -879,7 +756,7 @@ func (s *fileStore) flush() error {
 	s.mu.Unlock()
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	if s.synced.Load() >= target {
+	if s.synced >= target {
 		return nil
 	}
 	s.mu.Lock()
@@ -888,49 +765,9 @@ func (s *fileStore) flush() error {
 	if err := storeDatasync(s.f); err != nil {
 		return s.poison(err)
 	}
-	advanceSynced(&s.synced, covered)
+	s.synced = covered
 	return nil
 }
-
-// fsBarrier implementation: see the interface comment for the protocol.
-
-// barrierReady additionally requires a real *os.File behind the faultfs
-// layer: an injected file's Sync only covers its own overlay, so claiming
-// filesystem-wide barrier coverage through it would mark sibling sections
-// durable that are not.
-func (s *fileStore) barrierReady() bool {
-	if !(s.sync && s.barrier && hasSyncFS) || s.poisonFlag.Load() {
-		return false
-	}
-	_, isOS := s.f.(*faultfs.OSFile)
-	return isOS
-}
-
-func (s *fileStore) syncTarget() (uint64, bool) {
-	if !s.sync || s.poisonFlag.Load() {
-		return 0, false
-	}
-	s.mu.Lock()
-	target := s.puts
-	s.mu.Unlock()
-	if s.synced.Load() >= target {
-		return 0, false
-	}
-	return target, true
-}
-
-func (s *fileStore) syncFS() error {
-	if s.poisonFlag.Load() {
-		return s.poisonErr()
-	}
-	of, ok := s.f.(*faultfs.OSFile)
-	if !ok {
-		return s.f.Sync()
-	}
-	return syncFilesystem(of.File)
-}
-
-func (s *fileStore) markSynced(target uint64) { advanceSynced(&s.synced, target) }
 
 func (s *fileStore) remove(lpn int64) error {
 	if s.poisonFlag.Load() {
@@ -983,28 +820,31 @@ func (s *fileStore) close() error {
 	return s.f.Close()
 }
 
-// shardedStore stripes a pageStore across one sub-store per buffer shard,
+// shardedStore stripes the store across one section per buffer shard,
 // routed by the same block→shard function the buffer uses, so a shard's
-// evictor only ever touches its own sub-store (and, with a fileStore
+// evictor only ever touches its own section (and, with a fileStore
 // backing, its own file descriptor and fsync stream). This is what keeps
 // the durable medium from re-serializing the sharded write path.
 type shardedStore struct {
-	subs []pageStore
-	ppb  int64
+	subs []section
+	// files holds the same sections as subs when the store is file-backed
+	// (empty for an in-memory store): the scrubber and the integrity hooks
+	// walk these.
+	files []*fileStore
+	ppb   int64
 }
 
 // newShardedMemStore builds an n-way striped in-memory store.
 func newShardedMemStore(n, pagesPerBlock int) *shardedStore {
-	s := &shardedStore{subs: make([]pageStore, n), ppb: int64(pagesPerBlock)}
+	s := &shardedStore{subs: make([]section, n), ppb: int64(pagesPerBlock)}
 	for i := range s.subs {
 		s.subs[i] = newMemStore()
 	}
 	return s
 }
 
-// shardStoreName names shard i's backing file. Shard 0 keeps the legacy
-// single-store name, so a 1-shard node reopens data written before
-// sharding existed.
+// shardStoreName names shard i's backing file. Shard 0 keeps the
+// single-store name, so a 1-shard node reopens a plain fileStore's data.
 func shardStoreName(i int) string {
 	if i == 0 {
 		return fileStoreName
@@ -1015,9 +855,9 @@ func shardStoreName(i int) string {
 // newShardedFileStore builds an n-way striped file store in dir over fsys.
 // The shard count must be stable across restarts of the same DataDir:
 // pages are routed to files by shard index, so reopening with a different
-// count would look up pages in the wrong sub-store.
-func newShardedFileStore(fsys faultfs.FS, dir string, pageSize int, syncWrites, barrier bool, n, pagesPerBlock int) (*shardedStore, error) {
-	s := &shardedStore{subs: make([]pageStore, n), ppb: int64(pagesPerBlock)}
+// count would look up pages in the wrong section.
+func newShardedFileStore(fsys faultfs.FS, dir string, pageSize int, syncWrites bool, n, pagesPerBlock int) (*shardedStore, error) {
+	s := &shardedStore{subs: make([]section, n), files: make([]*fileStore, n), ppb: int64(pagesPerBlock)}
 	for i := range s.subs {
 		sub, err := newFileStoreFS(fsys, dir, shardStoreName(i), pageSize, syncWrites)
 		if err != nil {
@@ -1026,26 +866,14 @@ func newShardedFileStore(fsys faultfs.FS, dir string, pageSize int, syncWrites, 
 			}
 			return nil, err
 		}
-		sub.barrier = barrier
-		s.subs[i] = sub
+		s.subs[i], s.files[i] = sub, sub
 	}
 	return s, nil
 }
 
-func (s *shardedStore) sub(lpn int64) pageStore {
+// sub returns the section holding lpn.
+func (s *shardedStore) sub(lpn int64) section {
 	return s.subs[uint64(lpn/s.ppb)%uint64(len(s.subs))]
-}
-
-// fileSubs returns the file-backed sub-stores (nil entries elided); the
-// scrubber and the integrity hooks walk these.
-func (s *shardedStore) fileSubs() []*fileStore {
-	out := make([]*fileStore, 0, len(s.subs))
-	for _, sub := range s.subs {
-		if fs, ok := sub.(*fileStore); ok {
-			out = append(out, fs)
-		}
-	}
-	return out
 }
 
 func (s *shardedStore) get(lpn int64) []byte              { return s.sub(lpn).get(lpn) }
@@ -1054,22 +882,12 @@ func (s *shardedStore) put(lpn int64, data []byte, stamp uint64) error {
 	return s.sub(lpn).put(lpn, data, stamp)
 }
 func (s *shardedStore) remove(lpn int64) error { return s.sub(lpn).remove(lpn) }
-
-// verify routes to the sub-store; sub-stores without integrity metadata
-// (memStore) report intact.
-func (s *shardedStore) verify(lpn int64) bool {
-	if v, ok := s.sub(lpn).(storeVerifier); ok {
-		return v.verify(lpn)
-	}
-	return true
-}
+func (s *shardedStore) verify(lpn int64) bool  { return s.sub(lpn).verify(lpn) }
 
 func (s *shardedStore) takeCorrupt() []int64 {
 	var out []int64
 	for _, sub := range s.subs {
-		if ct, ok := sub.(corruptTracker); ok {
-			out = append(out, ct.takeCorrupt()...)
-		}
+		out = append(out, sub.takeCorrupt()...)
 	}
 	return out
 }
@@ -1077,17 +895,15 @@ func (s *shardedStore) takeCorrupt() []int64 {
 func (s *shardedStore) corruptCount() int64 {
 	var total int64
 	for _, sub := range s.subs {
-		if ct, ok := sub.(corruptTracker); ok {
-			total += ct.corruptCount()
-		}
+		total += sub.corruptCount()
 	}
 	return total
 }
 
-// putRun routes a consecutive-LPN run to its sub-stores, keeping each
-// sub-store's span intact so a file-backed sub can coalesce the pwrites.
-// A run can cross a block boundary into another section mid-way, so the
-// split walks by routing, not just by the first page.
+// putRun routes a consecutive-LPN run to its sections, keeping each
+// section's span intact so a file-backed section can coalesce the
+// pwrites. A run can cross a block boundary into another section
+// mid-way, so the split walks by routing, not just by the first page.
 func (s *shardedStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
 	for i := 0; i < len(lpns); {
 		sub := s.sub(lpns[i])
@@ -1095,28 +911,12 @@ func (s *shardedStore) putRun(lpns []int64, data [][]byte, stamps []uint64) erro
 		for j < len(lpns) && s.sub(lpns[j]) == sub {
 			j++
 		}
-		if rp, ok := sub.(runPutter); ok {
-			if err := rp.putRun(lpns[i:j], data[i:j], stamps[i:j]); err != nil {
-				return err
-			}
-		} else {
-			for k := i; k < j; k++ {
-				if err := sub.put(lpns[k], data[k], stamps[k]); err != nil {
-					return err
-				}
-			}
+		if err := sub.putRun(lpns[i:j], data[i:j], stamps[i:j]); err != nil {
+			return err
 		}
 		i = j
 	}
 	return nil
-}
-
-func (s *shardedStore) pages() int {
-	total := 0
-	for _, sub := range s.subs {
-		total += sub.pages()
-	}
-	return total
 }
 
 func (s *shardedStore) maxStamp() uint64 {
@@ -1138,12 +938,6 @@ func (s *shardedStore) flush() error {
 	}
 	return first
 }
-
-// flushOf makes only the section holding lpn durable. A persist batch
-// always stays within one shard, and syncing the sibling sections too
-// would convoy every evictor's fsync stream on every other's — undoing
-// exactly the concurrency the striped store exists for.
-func (s *shardedStore) flushOf(lpn int64) error { return s.sub(lpn).flush() }
 
 func (s *shardedStore) close() error {
 	var first error

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flashcoop/internal/faultfs"
@@ -24,80 +26,45 @@ func v1SlotOff(ps int, slot int64) int64 {
 	return storeHeaderSize + slot*int64(slotHeaderSize+ps)
 }
 
-// A legacy v0 file (headerless, un-checksummed 16-byte slot headers) is
-// migrated to v1 on open: live records survive with their stamps, free
-// slots are compacted away, and the reopened file carries the v1 header.
-func TestFileStoreV0Migration(t *testing.T) {
-	dir := t.TempDir()
+// A file without the store header — a pre-checksum store, or any other
+// file at the store's path — is refused with an error naming the path,
+// and left byte-identical: scanning it as slots would free every record
+// as corrupt.
+func TestFileStoreRefusesHeaderless(t *testing.T) {
 	const ps = 128
-	path := filepath.Join(dir, fileStoreName)
-
-	// Hand-build a v0 file: slot 0 live (lpn 7), slot 1 free, slot 2 live
-	// (lpn 3).
-	rsV0 := slotHeaderV0 + ps
-	raw := make([]byte, 3*rsV0)
-	writeV0 := func(slot int, lpn int64, stamp uint64, fill byte) {
-		rec := raw[slot*rsV0 : (slot+1)*rsV0]
-		binary.BigEndian.PutUint64(rec[:8], uint64(lpn))
-		binary.BigEndian.PutUint64(rec[8:16], stamp)
-		copy(rec[slotHeaderV0:], fillPage(ps, fill))
+	legacy := make([]byte, 3*(16+ps)) // three headerless 16-byte-header slots
+	for slot := 0; slot < 3; slot++ {
+		rec := legacy[slot*(16+ps):]
+		binary.BigEndian.PutUint64(rec[:8], uint64(slot+1))
+		binary.BigEndian.PutUint64(rec[8:16], 7)
+		copy(rec[16:16+ps], fillPage(ps, byte(0xA0+slot)))
 	}
-	writeV0(0, 7, 20, 0xA7)
-	writeV0(1, freeSlotMarker, 0, 0x00)
-	writeV0(2, 3, 9, 0xB3)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	for name, raw := range map[string][]byte{
+		"legacy": legacy,
+		"short":  []byte("FCP"),
+		"text":   []byte("not a page store, just some bytes on disk\n"),
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fileStoreName)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := newFileStore(dir, ps, false)
+		if err == nil {
+			s.close()
+			t.Fatalf("%s: headerless file opened as a store", name)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: error %q does not name %s", name, err, path)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("%s: refused file was modified (%d bytes -> %d)", name, len(raw), len(got))
+		}
 	}
-
-	s, err := newFileStore(dir, ps, false)
-	if err != nil {
-		t.Fatalf("open (migrate): %v", err)
-	}
-	if got := s.get(7); got == nil || got[0] != 0xA7 {
-		t.Fatalf("lpn 7 lost in migration")
-	}
-	if got := s.get(3); got == nil || got[0] != 0xB3 {
-		t.Fatalf("lpn 3 lost in migration")
-	}
-	if st, ok := s.getStamp(7); !ok || st != 20 {
-		t.Fatalf("lpn 7 stamp = %d, %v", st, ok)
-	}
-	if s.pages() != 2 || s.maxStamp() != 20 {
-		t.Fatalf("pages=%d maxStamp=%d after migration", s.pages(), s.maxStamp())
-	}
-	if s.corruptCount() != 0 {
-		t.Fatalf("migration flagged %d corrupt slots", s.corruptCount())
-	}
-	if err := s.close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The migrated file is v1: magic header, free slot compacted away.
-	out, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSize := int64(storeHeaderSize + 2*(slotHeaderSize+ps))
-	if int64(len(out)) != wantSize {
-		t.Fatalf("migrated size = %d, want %d (free slot compacted)", len(out), wantSize)
-	}
-	if string(out[:4]) != string(storeMagic[:]) || out[4] != storeVersion {
-		t.Fatalf("migrated header = % x", out[:8])
-	}
-	// No stale temp file left behind.
-	if _, err := os.Stat(path + ".migrate"); !os.IsNotExist(err) {
-		t.Fatalf("migrate temp file left behind: %v", err)
-	}
-
-	// And it reopens cleanly as v1.
-	s2, err := newFileStore(dir, ps, false)
-	if err != nil {
-		t.Fatalf("reopen after migration: %v", err)
-	}
-	if got := s2.get(3); got == nil || got[0] != 0xB3 {
-		t.Fatalf("lpn 3 lost after reopen")
-	}
-	s2.close()
 }
 
 // Opening with a different page size than the file was built with must
@@ -375,7 +342,7 @@ func TestFileStorePoisonLatch(t *testing.T) {
 	if len(hooks) != 1 || !errors.Is(hooks[0], ErrSyncPoisoned) {
 		t.Fatalf("onPoison hooks = %v, want one typed error", hooks)
 	}
-	if !s.storePoisoned() {
+	if !s.poisoned() {
 		t.Fatal("poison flag not latched")
 	}
 	// Everything mutating fails fast with the same typed error — no
@@ -391,12 +358,6 @@ func TestFileStorePoisonLatch(t *testing.T) {
 	}
 	if err := s.remove(1); !errors.Is(err, ErrSyncPoisoned) {
 		t.Fatalf("remove = %v, want latched poison", err)
-	}
-	if s.barrierReady() {
-		t.Fatal("poisoned section claims barrier readiness")
-	}
-	if _, ok := s.syncTarget(); ok {
-		t.Fatal("poisoned section offers a sync target")
 	}
 	if len(hooks) != 1 {
 		t.Fatalf("onPoison fired %d times, want once", len(hooks))

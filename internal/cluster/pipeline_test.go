@@ -31,7 +31,7 @@ func TestPeerClientPipelined(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := WriteFrame(conn, &Message{Type: MsgHeartbeatAck, Seq: msg.Seq}); err != nil {
+			if err := WriteFrameV2(conn, &Message{Type: MsgHeartbeatAck, Seq: msg.Seq}); err != nil {
 				return
 			}
 		}
@@ -90,7 +90,7 @@ func TestPeerClientOutOfOrderResponses(t *testing.T) {
 			// Echo the request's first LPN back in the response so the
 			// caller can check it got ITS answer, not just any answer.
 			for _, m := range []*Message{m2, m1} {
-				if err := WriteFrame(conn, &Message{Type: MsgDiscardAck, Seq: m.Seq, LPNs: m.LPNs}); err != nil {
+				if err := WriteFrameV2(conn, &Message{Type: MsgDiscardAck, Seq: m.Seq, LPNs: m.LPNs}); err != nil {
 					return
 				}
 			}

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"flashcoop/internal/stream"
@@ -91,24 +90,18 @@ type Message struct {
 	Err    string
 	// Streams, when present, runs parallel to LPNs and carries each
 	// page's temperature tag so the receiver's FTL can keep the pair's
-	// stream segregation intact across the backup path. Tags travel in an
-	// optional trailing extension (see Marshal); frames from older
-	// senders simply have none, and unknown tag bytes degrade to the
-	// default stream rather than erroring.
+	// stream segregation intact across the backup path. Unknown tag
+	// bytes degrade to the default stream rather than erroring.
 	Streams []stream.Stream
 	// Pressure is the sender's garbage-collection pressure in [0,1]
 	// (ftl.FTL.GCPressure), gossiped on heartbeats and acks so each node
-	// can defer non-urgent traffic toward a partner digesting GC. It
-	// rides the same trailing extension as Streams.
+	// can defer non-urgent traffic toward a partner digesting GC.
 	Pressure float64
 	// Epoch is the sender's ownership epoch: the version of the ring
 	// layout the frame was routed under. A receiver on a newer epoch
 	// rejects data-plane frames from an older one, so late frames routed
 	// by a previous ring layout can never land in the wrong backup hold.
-	// Zero means "pair mode / no ring" and is never rejected. Epoch,
-	// Origin, and Members ride a second trailing extension after
-	// Pressure; frames without them encode byte-identically to the
-	// pre-ring format.
+	// Zero means "pair mode / no ring" and is never rejected.
 	Epoch uint64
 	// Origin identifies the sending member (its partner listen address)
 	// on ring data-plane frames, so the receiver files backups into the
@@ -117,57 +110,6 @@ type Message struct {
 	Origin string
 	// Members carries the ring member list on MsgMembership frames.
 	Members []string
-}
-
-// hasExt reports whether the message carries trailing-extension fields.
-// Messages without them encode byte-identically to the pre-extension
-// format, so mixed-version pairs interoperate.
-func (m *Message) hasExt() bool { return len(m.Streams) > 0 || m.Pressure != 0 || m.hasExt2() }
-
-// hasExt2 reports whether the ring extension (epoch, origin, members) is
-// present. It can only appear after the first extension, so a frame that
-// carries it also encodes the stream/pressure block.
-func (m *Message) hasExt2() bool { return m.Epoch != 0 || m.Origin != "" || len(m.Members) > 0 }
-
-// extLen is the encoded size of the trailing extensions (0 when absent).
-func (m *Message) extLen() int {
-	if !m.hasExt() {
-		return 0
-	}
-	n := 4 + len(m.Streams) + 8
-	if m.hasExt2() {
-		n += 8 + 2 + len(m.Origin) + 2
-		for _, mem := range m.Members {
-			n += 2 + len(mem)
-		}
-	}
-	return n
-}
-
-// appendExt appends the trailing extensions: a stream-tag count and bytes
-// (parallel to LPNs) followed by the sender's GC pressure, then — on ring
-// frames — the ownership epoch, origin ID, and member list.
-func (m *Message) appendExt(buf []byte) []byte {
-	if !m.hasExt() {
-		return buf
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Streams)))
-	for _, s := range m.Streams {
-		buf = append(buf, byte(s))
-	}
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.Pressure))
-	if !m.hasExt2() {
-		return buf
-	}
-	buf = binary.BigEndian.AppendUint64(buf, m.Epoch)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Origin)))
-	buf = append(buf, m.Origin...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Members)))
-	for _, mem := range m.Members {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(mem)))
-		buf = append(buf, mem...)
-	}
-	return buf
 }
 
 // MaxFrameBytes bounds a single frame (16 MiB of payload covers thousands
@@ -180,46 +122,37 @@ var (
 	ErrBadFrame      = errors.New("cluster: malformed frame")
 )
 
-// Marshal encodes the message body (without the outer length prefix).
+// Marshal returns the message body: the bytes a v2 frame carries after
+// its header, exactly as appendFrameV2 encodes them.
 func (m *Message) Marshal() ([]byte, error) {
-	if len(m.Err) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: error string too long", ErrBadFrame)
+	bufs, sp, err := appendFrameV2(nil, m, nil)
+	if err != nil {
+		return nil, err
 	}
-	if len(m.Origin) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: origin ID too long", ErrBadFrame)
+	defer releaseFrameScratch(sp)
+	bufs[0] = bufs[0][FrameHdrV2Len:]
+	body := make([]byte, 0, m.bodyLen(len(m.Data)))
+	for _, b := range bufs {
+		body = append(body, b...)
 	}
-	if len(m.Members) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: member list too long", ErrBadFrame)
-	}
+	return body, nil
+}
+
+// bodyLen is the encoded body size of m carrying dataLen payload bytes.
+// Every field is always present, so the layout is fixed:
+//
+//	type u8 | seq u64 | n u32, LPNs n×u64 | n u32, stamps n×u64 |
+//	n u32, data | info 4×f64 | n u16, err | n u32, stream tags n×u8 |
+//	pressure f64 | epoch u64 | n u16, origin | n u16, n×(u16 len, member)
+//
+// all integers big-endian.
+func (m *Message) bodyLen(dataLen int) int {
+	n := 1 + 8 + 4 + 8*len(m.LPNs) + 4 + 8*len(m.Stamps) + 4 + dataLen + 8*4 + 2 + len(m.Err) +
+		4 + len(m.Streams) + 8 + 8 + 2 + len(m.Origin) + 2
 	for _, mem := range m.Members {
-		if len(mem) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: member ID too long", ErrBadFrame)
-		}
+		n += 2 + len(mem)
 	}
-	size := 1 + 8 + 4 + 8*len(m.LPNs) + 4 + 8*len(m.Stamps) + 4 + len(m.Data) + 8*4 + 2 + len(m.Err) + m.extLen()
-	if size > MaxFrameBytes {
-		return nil, ErrFrameTooLarge
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, byte(m.Type))
-	buf = binary.BigEndian.AppendUint64(buf, m.Seq)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.LPNs)))
-	for _, lpn := range m.LPNs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(lpn))
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Stamps)))
-	for _, st := range m.Stamps {
-		buf = binary.BigEndian.AppendUint64(buf, st)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Data)))
-	buf = append(buf, m.Data...)
-	for _, f := range [4]float64{m.Info.WriteFrac, m.Info.Mem, m.Info.CPU, m.Info.Net} {
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Err)))
-	buf = append(buf, m.Err...)
-	buf = m.appendExt(buf)
-	return buf, nil
+	return n
 }
 
 // Unmarshal decodes a message body produced by Marshal.
@@ -286,13 +219,6 @@ func (m *Message) Unmarshal(buf []byte) error {
 		return err
 	}
 	m.Err = string(eb)
-	// Optional trailing extension (stream tags + GC pressure). A body
-	// ending here came from a pre-extension sender: leave the fields at
-	// their zero values.
-	m.Streams, m.Pressure = nil, 0
-	if r.off == len(r.buf) {
-		return nil
-	}
 	nt, err := r.u32()
 	if err != nil {
 		return err
@@ -300,6 +226,7 @@ func (m *Message) Unmarshal(buf []byte) error {
 	if int(nt) > len(r.buf)-r.off {
 		return fmt.Errorf("%w: stream-tag count %d exceeds frame", ErrBadFrame, nt)
 	}
+	m.Streams = nil
 	if nt > 0 {
 		m.Streams = make([]stream.Stream, nt)
 		for i := range m.Streams {
@@ -317,13 +244,6 @@ func (m *Message) Unmarshal(buf []byte) error {
 		return err
 	}
 	m.Pressure = math.Float64frombits(pv)
-	// Optional second extension (ownership epoch, origin, members). A
-	// body ending here came from a pre-ring sender: leave the fields at
-	// their zero values.
-	m.Epoch, m.Origin, m.Members = 0, "", nil
-	if r.off == len(r.buf) {
-		return nil
-	}
 	if m.Epoch, err = r.u64(); err != nil {
 		return err
 	}
@@ -343,6 +263,7 @@ func (m *Message) Unmarshal(buf []byte) error {
 	if int(nm)*2 > len(r.buf)-r.off {
 		return fmt.Errorf("%w: member count %d exceeds frame", ErrBadFrame, nm)
 	}
+	m.Members = nil
 	if nm > 0 {
 		m.Members = make([]string, nm)
 		for i := range m.Members {
@@ -421,47 +342,4 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	v := r.buf[r.off : r.off+n]
 	r.off += n
 	return v, nil
-}
-
-// WriteFrame writes a length-prefixed message to w.
-func WriteFrame(w io.Writer, m *Message) error {
-	body, err := m.Marshal()
-	if err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-// ReadFrame reads one message from r, accepting both wire formats: the
-// v1 length-prefixed frame and the v2 checksummed frame (see framing.go).
-// The first byte disambiguates — a valid v1 length for a ≤16 MiB frame
-// starts with 0x00 or 0x01, so the 0xFC magic can never be confused for
-// one.
-func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if hdr[0] == FrameMagicV2 {
-		return readFrameV2(r, hdr)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	var m Message
-	if err := m.Unmarshal(body); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }

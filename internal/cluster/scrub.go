@@ -24,15 +24,6 @@ const (
 	repairRetryInterval = 250 * time.Millisecond
 )
 
-// storeVerify reports whether lpn's durable record is intact; stores
-// without integrity metadata (memStore) always report intact.
-func storeVerify(s pageStore, lpn int64) bool {
-	if v, ok := s.(storeVerifier); ok {
-		return v.verify(lpn)
-	}
-	return true
-}
-
 // initIntegrity wires the store's corruption/poison hooks into the node
 // and starts the repair, poison-watcher, and (if configured) scrubber
 // goroutines. It must run before the evictors and the serve loop start:
@@ -40,11 +31,7 @@ func storeVerify(s pageStore, lpn int64) bool {
 func (n *LiveNode) initIntegrity() {
 	n.repairSet = make(map[int64]struct{})
 	n.repairKick = make(chan struct{}, 1)
-	ss, _ := n.store.(*shardedStore)
-	var subs []*fileStore
-	if ss != nil {
-		subs = ss.fileSubs()
-	}
+	subs := n.store.files
 	if len(subs) == 0 {
 		return // in-memory store: nothing to corrupt, poison, or scrub
 	}
@@ -60,10 +47,8 @@ func (n *LiveNode) initIntegrity() {
 	// Records that failed verification during the open-time scan: the
 	// stores already counted them; mirror the total and queue the ones
 	// whose self-described LPN survived as repair candidates.
-	if ct, ok := n.store.(corruptTracker); ok {
-		atomic.StoreInt64(&n.stats.CorruptSlots, ct.corruptCount())
-		n.queueRepair(ct.takeCorrupt())
-	}
+	atomic.StoreInt64(&n.stats.CorruptSlots, n.store.corruptCount())
+	n.queueRepair(n.store.takeCorrupt())
 	n.wg.Add(2)
 	go n.poisonLoop()
 	go n.repairLoop()
@@ -248,7 +233,7 @@ func (n *LiveNode) repairPages(lpns []int64) {
 		sh := &n.shards[n.buf.ShardIndex(lpn)]
 		sh.persistMu.Lock()
 		local, ok := n.store.getStamp(lpn)
-		intact := ok && storeVerify(n.store, lpn)
+		intact := ok && n.store.verify(lpn)
 		if intact && (!have || local >= c.stamp) {
 			// Already healed (fresh write, eviction, or recovery).
 			sh.persistMu.Unlock()
@@ -336,11 +321,7 @@ func (n *LiveNode) scrubLoop(subs []*fileStore) {
 // ring repair). A zero/zero return on a DataDir-less node is normal — an
 // in-memory store has no records to rot.
 func (n *LiveNode) ScrubOnce() (checked, corrupt int) {
-	ss, _ := n.store.(*shardedStore)
-	if ss == nil {
-		return 0, 0
-	}
-	for _, sub := range ss.fileSubs() {
+	for _, sub := range n.store.files {
 		cursor := int64(0)
 		for {
 			next, ck, bad := sub.scrubRange(cursor, scrubBatchSlots)

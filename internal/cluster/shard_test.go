@@ -158,22 +158,22 @@ func TestShardedNodeConcurrentOps(t *testing.T) {
 	}
 }
 
-// gatedStore wraps a pageStore and, while armed, parks every put on a
-// gate — freezing an eviction flush mid-persist so the test can poke at
-// the node while the flush is in flight.
+// gatedStore wraps a store section and, while armed, parks the next
+// putRun on a gate — freezing an eviction flush mid-persist so the test
+// can poke at the node while the flush is in flight.
 type gatedStore struct {
-	pageStore
+	section
 	armed   atomic.Bool
-	entered chan int64    // blocked put's lpn, capacity 1
+	entered chan int64    // blocked run's first lpn, capacity 1
 	release chan struct{} // closed to unblock
 }
 
-func (g *gatedStore) put(lpn int64, data []byte, stamp uint64) error {
+func (g *gatedStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
 	if g.armed.Swap(false) {
-		g.entered <- lpn
+		g.entered <- lpns[0]
 		<-g.release
 	}
-	return g.pageStore.put(lpn, data, stamp)
+	return g.section.putRun(lpns, data, stamps)
 }
 
 // TestReadDuringInflightFlush proves the pinned-dirty guarantee: a page
@@ -183,12 +183,13 @@ func (g *gatedStore) put(lpn int64, data []byte, stamp uint64) error {
 func TestReadDuringInflightFlush(t *testing.T) {
 	a, _ := shardedPair(t, 1, 8)
 	ps := a.Device().PageSize()
+	// One shard, so the gated section holds every page.
 	gate := &gatedStore{
-		pageStore: a.store,
-		entered:   make(chan int64, 1),
-		release:   make(chan struct{}),
+		section: a.store.subs[0],
+		entered: make(chan int64, 1),
+		release: make(chan struct{}),
 	}
-	a.store = gate
+	a.store.subs[0] = gate
 	var released sync.Once
 	open := func() { released.Do(func() { close(gate.release) }) }
 	defer open()

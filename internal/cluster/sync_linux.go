@@ -5,7 +5,6 @@ package cluster
 import (
 	"errors"
 	"os"
-	"runtime"
 	"syscall"
 )
 
@@ -34,60 +33,6 @@ func datasync(f *os.File) error {
 	}
 	if serr != nil {
 		return &os.PathError{Op: "fdatasync", Path: f.Name(), Err: serr}
-	}
-	return nil
-}
-
-// sysSyncfs is syncfs(2)'s per-architecture syscall number. The frozen
-// syscall package predates the syscall (Linux 2.6.39), so the numbers are
-// carried here; an architecture missing from the table just keeps the
-// per-section fsync path.
-var sysSyncfs, hasSyncFS = func() (uintptr, bool) {
-	nums := map[string]uintptr{
-		"amd64":   306,
-		"386":     344,
-		"arm":     373,
-		"arm64":   267, // generic syscall table, shared by the newer ports
-		"riscv64": 267,
-		"loong64": 267,
-		"ppc64":   348,
-		"ppc64le": 348,
-		"s390x":   338,
-	}
-	n, ok := nums[runtime.GOARCH]
-	return n, ok
-}()
-
-// syncFilesystem flushes everything dirty on the filesystem holding f —
-// the group-commit coordinator's whole-filesystem barrier: one syscall
-// through any section's descriptor makes every section file on that
-// filesystem durable in a single journal commit.
-func syncFilesystem(f *os.File) error {
-	if !hasSyncFS {
-		return f.Sync()
-	}
-	sc, err := f.SyscallConn()
-	if err != nil {
-		return err
-	}
-	var serr error
-	cerr := sc.Control(func(fd uintptr) {
-		for {
-			_, _, errno := syscall.Syscall(sysSyncfs, fd, 0, 0)
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno != 0 {
-				serr = errno
-			}
-			return
-		}
-	})
-	if cerr != nil {
-		return cerr
-	}
-	if serr != nil {
-		return &os.PathError{Op: "syncfs", Path: f.Name(), Err: serr}
 	}
 	return nil
 }

@@ -8,14 +8,3 @@ import "os"
 func datasync(f *os.File) error {
 	return f.Sync()
 }
-
-// hasSyncFS is false off Linux: without syncfs(2) a single syscall cannot
-// cover sibling section files, so the group-commit coordinator stays on
-// per-section fsyncs and stores never advertise the barrier capability.
-const hasSyncFS = false
-
-// syncFilesystem is never reached when hasSyncFS is false; syncing just f
-// is the only sound per-file approximation if it ever is.
-func syncFilesystem(f *os.File) error {
-	return f.Sync()
-}

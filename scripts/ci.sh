@@ -22,6 +22,11 @@ go test -cover ./...
 # (shards > 1) rather than relying on the suite's default.
 CHAOS_SHARDS=4 go test -race ./internal/experiments/... ./internal/cluster/...
 
+# Multicore chaos: the checker suite three times on two Ps, uncached
+# (-count), so a race that only shows when the wire taps of a request and
+# its reply run on different cores cannot hide behind the test cache.
+GOMAXPROCS=2 go test -count=3 ./internal/cluster/check/
+
 # Link-flap smoke: three asymmetric partition/heal cycles against a live
 # pair with writers running, durability-checked after every heal, under
 # the race detector. Replays with CHAOS_SEED=<seed>.
@@ -44,7 +49,6 @@ CHAOS_SEED=42 go test -race -run 'TestChaosTornWriteRepair' ./internal/cluster/c
 # exactly one target (-run '^$' skips the unit tests, already run above).
 # -fuzzminimizetime is bounded so fresh corpora don't spend the whole
 # budget minimizing their first interesting inputs.
-go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzReadFrameV2$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzDecodeResync$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
