@@ -153,7 +153,7 @@ func main() {
 				failed = true
 			}
 			// Absolute floor, independent of the baseline: the ring must
-			// never cost a member more than (1 - floor) of its pair-mode
+			// never cost a member more than (1 - floor) of its 2-member-ring
 			// write throughput.
 			if r := cur.RingScale.PerNodeRatio; r > 0 && r < *ringFloor {
 				fmt.Printf("FAIL ring per_node_ratio %.2f below floor %.2f\n", r, *ringFloor)

@@ -93,7 +93,7 @@ func main() {
 			}
 		}
 		if !printed || !strings.Contains(resp, "epoch=") {
-			fmt.Println("pair mode (no ring)")
+			fmt.Println("no ring configured")
 		}
 	case "victim":
 		// Victim-tier view: the STATS fields that describe the flash

@@ -11,20 +11,24 @@
 //
 // Usage:
 //
-//	flashcoopd -listen :7001 -client :8001 [-peer host:7002] [-policy lar]
+//	flashcoopd -listen host1:7001 -client :8001 [-peer host2:7002] [-policy lar]
 //	           [-buffer 8192] [-remote 8192] [-recover]
 //	           [-datadir DIR -sync -scrub-interval 1h]
 //	           [-victim-segments 128 -victim-segment-pages 64 -victim-min-reuse 2]
 //	           [-batch 64] [-inflight 4] [-chaos-seed N]
 //
-// Ring mode replaces -peer with the full member list (this node's -listen
-// address is added automatically if absent):
+// A cooperative pair is a 2-member ring: -peer X is -peers X with this
+// node's -listen address added. A larger ring lists every member (this
+// node's -listen address is added if absent):
 //
-//	flashcoopd -listen :7001 -client :8001 \
+//	flashcoopd -listen host1:7001 -client :8001 \
 //	           -peers host1:7001,host2:7002,host3:7003 [-replication 1]
 //
-// Every member must be started with the same -peers list; HEALTH then
-// reports the ring epoch and each partner link's lifecycle state.
+// Every member must be started with the same list; HEALTH then reports the
+// ring epoch and each partner link's lifecycle state. With -peer or -peers,
+// -listen must name this node's host: it is the node's member ID, which
+// partners dial and file its backups under, so a restarted node recovers
+// them (-recover) only when it comes back on the same -listen address.
 //
 // STATS reports, besides the counters, the write and forward latency
 // percentiles (wlat_*/flat_*) and the forward batching factor.
@@ -51,7 +55,7 @@ func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7001", "partner-facing address")
 		client   = flag.String("client", "127.0.0.1:8001", "client-facing address")
-		peer     = flag.String("peer", "", "partner address (empty = degraded)")
+		peer     = flag.String("peer", "", "partner address: a 2-member ring (empty = degraded)")
 		peers    = flag.String("peers", "", "comma-separated ring member list (replaces -peer; own -listen address added if absent)")
 		repl     = flag.Int("replication", 1, "ring backup owners per erase block (with -peers)")
 		policy   = flag.String("policy", flashcoop.PolicyLAR, "buffer policy: lar, lru, lfu")
@@ -117,28 +121,11 @@ func main() {
 		log.Fatal("flashcoopd: -victim-segment-pages and -victim-min-reuse need -victim-segments: they tune a tier that is off")
 	}
 
-	var members []string
-	if *peers != "" {
-		if *peer != "" {
-			log.Fatal("flashcoopd: -peer and -peers are mutually exclusive")
-		}
-		self := false
-		for _, m := range strings.Split(*peers, ",") {
-			m = strings.TrimSpace(m)
-			if m == "" {
-				continue
-			}
-			if m == *listen {
-				self = true
-			}
-			members = append(members, m)
-		}
-		if !self {
-			members = append(members, *listen)
-		}
-		if len(members) < 2 {
-			log.Fatalf("flashcoopd: -peers lists %d member(s): a cooperative ring needs at least 2", len(members))
-		}
+	members, err := ringMembers(*listen, *peer, *peers)
+	if err != nil {
+		log.Fatalf("flashcoopd: %v", err)
+	}
+	if len(members) > 0 {
 		if *repl < 1 || *repl > len(members)-1 {
 			log.Fatalf("flashcoopd: -replication %d is out of range for a %d-member ring: want 1..%d backup owners per erase block",
 				*repl, len(members), len(members)-1)
@@ -148,7 +135,6 @@ func main() {
 	cfg := flashcoop.LiveConfig{
 		Name:          *listen,
 		ListenAddr:    *listen,
-		PeerAddr:      *peer,
 		Peers:         members,
 		NodeID:        *listen,
 		Replication:   *repl,
@@ -189,7 +175,7 @@ func main() {
 	defer node.Close()
 	log.Printf("flashcoopd: partner port %s, client port %s, policy %s", node.Addr(), *client, *policy)
 
-	if *peer != "" || len(members) > 0 {
+	if len(members) > 0 {
 		if err := node.ConnectPeer(); err != nil {
 			log.Printf("flashcoopd: partner not reachable yet: %v", err)
 		} else if *recover {
@@ -201,8 +187,6 @@ func main() {
 		}
 		node.StartHeartbeat()
 		node.StartRebalance(5 * time.Second)
-	}
-	if len(members) > 0 {
 		log.Printf("flashcoopd: ring of %d members at epoch %d, replication %d",
 			len(node.RingMembers()), node.RingEpoch(), *repl)
 	}
@@ -219,6 +203,49 @@ func main() {
 		}
 		go serveClient(node, conn)
 	}
+}
+
+// ringMembers turns the partner flags into the ring member list: -peers
+// is the full list and -peer X the 2-member ring {X, listen}; either way
+// the listen address — this node's member ID — is added if absent. It
+// returns nil when neither flag is set (a solo node).
+func ringMembers(listen, peer, peers string) ([]string, error) {
+	if peer != "" && peers != "" {
+		return nil, fmt.Errorf("-peer and -peers are mutually exclusive")
+	}
+	list := peers
+	if peer != "" {
+		list = peer
+	}
+	if list == "" {
+		return nil, nil
+	}
+	host, _, err := net.SplitHostPort(listen)
+	if err != nil {
+		return nil, fmt.Errorf("-listen %q: %v", listen, err)
+	}
+	if host == "" {
+		return nil, fmt.Errorf("-listen %q has no host: with -peer/-peers it is this node's member ID, the address its partners dial", listen)
+	}
+	var members []string
+	self := false
+	for _, m := range strings.Split(list, ",") {
+		m = strings.TrimSpace(m)
+		if m == "" {
+			continue
+		}
+		if m == listen {
+			self = true
+		}
+		members = append(members, m)
+	}
+	if !self {
+		members = append(members, listen)
+	}
+	if len(members) < 2 {
+		return nil, fmt.Errorf("the member list has %d member(s): a cooperative ring needs at least 2", len(members))
+	}
+	return members, nil
 }
 
 // streamFields renders the per-temperature flash wear counters as STATS
@@ -252,7 +279,7 @@ func victimFields(node *flashcoop.LiveNode) string {
 
 // ringFields renders the ring health as HEALTH key=value fields: the
 // ownership epoch, the member count, and each partner link's lifecycle
-// state. Empty in pair mode.
+// state. Empty when no ring is configured.
 func ringFields(node *flashcoop.LiveNode) string {
 	epoch := node.RingEpoch()
 	if epoch == 0 {

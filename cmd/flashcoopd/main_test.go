@@ -166,3 +166,41 @@ func TestClientProtocolQuit(t *testing.T) {
 	}
 	client.Close()
 }
+
+func TestRingMembers(t *testing.T) {
+	cases := []struct {
+		name, listen, peer, peers string
+		want                      []string
+		err                       string // substring; empty = success
+	}{
+		{name: "solo", listen: ":7001"},
+		{name: "pair", listen: "host1:7001", peer: "host2:7002",
+			want: []string{"host2:7002", "host1:7001"}},
+		{name: "ring-listing-self", listen: "host1:7001", peers: "host1:7001, host2:7002,host3:7003",
+			want: []string{"host1:7001", "host2:7002", "host3:7003"}},
+		{name: "ring-without-self", listen: "host1:7001", peers: "host2:7002,host3:7003,",
+			want: []string{"host2:7002", "host3:7003", "host1:7001"}},
+		{name: "empty-host-ring", listen: ":7001", peers: "host1:7001,host2:7002,host3:7003", err: "no host"},
+		{name: "empty-host-pair", listen: ":7001", peer: "host2:7002", err: "no host"},
+		{name: "both-flags", listen: "host1:7001", peer: "host2:7002", peers: "host2:7002", err: "mutually exclusive"},
+		{name: "peer-is-self", listen: "host1:7001", peer: "host1:7001", err: "at least 2"},
+		{name: "bad-listen", listen: "host1", peer: "host2:7002", err: "-listen"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ringMembers(tc.listen, tc.peer, tc.peers)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+				t.Fatalf("members = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}

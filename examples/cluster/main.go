@@ -32,21 +32,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Point A at B (A was created first, before B's port existed).
-	nodeA2, err := flashcoop.NewLiveNode(flashcoop.LiveConfig{
-		Name: "node-a", ListenAddr: "127.0.0.1:0", PeerAddr: nodeB.Addr(),
-		Policy: flashcoop.PolicyLAR, BufferPages: 256, RemotePages: 512,
-		SSD: ssd, HeartbeatInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
+	// A was created before B's port existed: join it to the same 2-member
+	// ring B's PeerAddr set up.
+	if err := nodeA.SetMembers(1, []string{nodeA.Addr(), nodeB.Addr()}); err != nil {
 		log.Fatal(err)
 	}
-	nodeA.Close()
-	nodeA = nodeA2
 	if err := nodeA.ConnectPeer(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("node-a %s <-> node-b (no direct b->a link needed for this demo)\n", nodeA.Addr())
+	fmt.Printf("node-a %s <-> node-b %s\n", nodeA.Addr(), nodeB.Addr())
 
 	// 1. Cooperative buffering: writes land in A's buffer and B's RAM.
 	ps := nodeA.Device().PageSize()
@@ -58,31 +52,33 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote 20 pages: node-a dirty=%d, node-b backups=%d\n",
-		nodeA.Buffer().DirtyLen(), nodeB.Remote().Len())
+		nodeA.Buffer().DirtyLen(), nodeB.RemoteLen())
 
 	// 2. node-a crashes hard: its buffer (and our 20 dirty pages) is gone.
 	nodeA.Crash()
 	fmt.Println("node-a crashed (nothing flushed)")
 
-	// 3. A replacement node recovers the dirty data from node-b.
-	nodeA3, err := flashcoop.NewLiveNode(flashcoop.LiveConfig{
-		Name: "node-a-recovered", ListenAddr: "127.0.0.1:0", PeerAddr: nodeB.Addr(),
+	// 3. A replacement node recovers the dirty data from node-b. node-b
+	// files node-a's backups under node-a's member ID — its listen address
+	// — so the replacement rebinds that address.
+	nodeA2, err := flashcoop.NewLiveNode(flashcoop.LiveConfig{
+		Name: "node-a-recovered", ListenAddr: nodeA.Addr(), PeerAddr: nodeB.Addr(),
 		Policy: flashcoop.PolicyLAR, BufferPages: 256, RemotePages: 512,
 		SSD: ssd,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer nodeA3.Close()
-	if err := nodeA3.ConnectPeer(); err != nil {
+	defer nodeA2.Close()
+	if err := nodeA2.ConnectPeer(); err != nil {
 		log.Fatal(err)
 	}
-	if err := nodeA3.RecoverFromPeer(); err != nil {
+	if err := nodeA2.RecoverFromPeer(); err != nil {
 		log.Fatal(err)
 	}
 	ok := true
 	for i := int64(0); i < 20; i++ {
-		data, err := nodeA3.Read(i, 1)
+		data, err := nodeA2.Read(i, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -92,22 +88,22 @@ func main() {
 		}
 	}
 	fmt.Printf("recovery complete: all 20 pages intact = %v, node-b backups left = %d\n",
-		ok, nodeB.Remote().Len())
+		ok, nodeB.RemoteLen())
 
 	// 4. node-b crashes; the survivor detects it via heartbeat and
 	// flushes its remaining dirty data synchronously.
-	nodeA3.StartHeartbeat()
+	nodeA2.StartHeartbeat()
 	page := make([]byte, ps)
 	page[0] = 0xEE
-	if err := nodeA3.Write(100, page); err != nil {
+	if err := nodeA2.Write(100, page); err != nil {
 		log.Fatal(err)
 	}
 	nodeB.Crash()
 	fmt.Println("node-b crashed; waiting for heartbeat failover...")
 	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && (nodeA3.PeerAlive() || nodeA3.Buffer().DirtyLen() > 0) {
+	for time.Now().Before(deadline) && (nodeA2.PeerAlive() || nodeA2.Buffer().DirtyLen() > 0) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	fmt.Printf("failover done: peerAlive=%v, dirty=%d (flushed to SSD), failovers=%d\n",
-		nodeA3.PeerAlive(), nodeA3.Buffer().DirtyLen(), nodeA3.Stats().Failovers)
+		nodeA2.PeerAlive(), nodeA2.Buffer().DirtyLen(), nodeA2.Stats().Failovers)
 }

@@ -152,14 +152,16 @@ func TestLiveLifecycle(t *testing.T) {
 	if err := b.Write(7, payload); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Remote().Contains(7) {
+	if !a.RemoteContains(7) {
 		t.Fatal("backup missing")
 	}
 
 	// b crashes and is replaced; the replacement recovers page 7 from a.
+	// a files b's backups under b's member ID — its listen address — so
+	// the replacement comes back on the same address.
 	b.Crash()
 	b2, err := flashcoop.NewLiveNode(flashcoop.LiveConfig{
-		Name: "b2", ListenAddr: "127.0.0.1:0", PeerAddr: a.Addr(),
+		Name: "b2", ListenAddr: b.Addr(), PeerAddr: a.Addr(),
 		BufferPages: 64, RemotePages: 128, SSD: ssd,
 		CallTimeout: 500 * time.Millisecond,
 	})

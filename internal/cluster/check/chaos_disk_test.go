@@ -131,9 +131,9 @@ func runDiskChaos(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	addrB := b.Addr()
-	a.SetPeer(addrB)
-	b.SetPeer(a.Addr())
+	addrA, addrB := a.Addr(), b.Addr()
+	joinPair(t, a, addrB)
+	joinPair(t, b, addrA)
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +216,8 @@ func runDiskChaos(t *testing.T, seed int64) {
 	// injector, nothing armed — a rebooted host gets a fresh page cache)
 	// and recovers the lost dirty pages from B's RCT.
 	inj2 := faultfs.New(seed + 7)
-	a2, err := cluster.NewLiveNode(diskNodeConfig("A2", "127.0.0.1:0", dirA, inj2))
-	if err != nil {
-		t.Fatalf("seed %d: reopen over damaged store: %v", seed, err)
-	}
-	a2.SetPeer(addrB)
-	b.SetPeer(a2.Addr())
+	a2 := startNode(t, seed, diskNodeConfig("A2", addrA, dirA, inj2))
+	joinPair(t, a2, addrB)
 	if err := a2.ConnectPeer(); err != nil {
 		t.Fatalf("seed %d: post-crash hello: %v", seed, err)
 	}
@@ -241,7 +237,7 @@ func runDiskChaos(t *testing.T, seed int64) {
 	})
 
 	// Durability invariants and read-back against the full write history.
-	for _, v := range append(Durability(tr, a2, b), DiscardSafety(tr, a2, b)...) {
+	for _, v := range append(Durability(tr, a2, addrA, b), DiscardSafety(tr, a2, addrA, b)...) {
 		t.Errorf("after crash+repair: %s (reproduce with CHAOS_SEED=%d)", v, seed)
 	}
 	if t.Failed() {

@@ -61,11 +61,11 @@ func TestChaosLinkFlap(t *testing.T) {
 	c.netA.SetTap(tap)
 	c.netB.SetTap(tap)
 
-	c.a = c.startNode(c.nodeConfig("A", "127.0.0.1:0", c.dirA, c.netA))
-	c.b = c.startNode(c.nodeConfig("B", "127.0.0.1:0", t.TempDir(), c.netB))
+	c.a = startNode(t, seed, c.nodeConfig("A", "127.0.0.1:0", c.dirA, c.netA))
+	c.b = startNode(t, seed, c.nodeConfig("B", "127.0.0.1:0", t.TempDir(), c.netB))
 	c.addrA, c.addrB = c.a.Addr(), c.b.Addr()
-	c.a.SetPeer(c.addrB)
-	c.b.SetPeer(c.addrA)
+	joinPair(t, c.a, c.addrB)
+	joinPair(t, c.b, c.addrA)
 	c.calmly("initial hello", c.a.ConnectPeer)
 	c.a.StartHeartbeat()
 	defer func() {

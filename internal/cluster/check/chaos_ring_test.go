@@ -170,9 +170,8 @@ func (c *chaosRing) checkInvariants(tr *Tracker, stage string) {
 			holders = append(holders, c.nodes[s])
 		}
 	}
-	remotes := RingRemotes(c.addrs[0], holders...)
-	vs := DurabilityRemotes(tr, c.nodes[0], remotes)
-	vs = append(vs, DiscardSafetyRemotes(tr, c.nodes[0], remotes)...)
+	vs := Durability(tr, c.nodes[0], c.addrs[0], holders...)
+	vs = append(vs, DiscardSafety(tr, c.nodes[0], c.addrs[0], holders...)...)
 	for _, v := range vs {
 		c.t.Errorf("%s: %s", stage, v)
 	}

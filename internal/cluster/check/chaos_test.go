@@ -128,8 +128,11 @@ func (c *chaosPair) nodeConfig(name, addr, dir string, nw *faultnet.Network) clu
 }
 
 // startNode creates a node, retrying briefly: a replacement rebinds the
-// crashed node's fixed address, which can race the old socket's teardown.
-func (c *chaosPair) startNode(cfg cluster.LiveConfig) *cluster.LiveNode {
+// crashed node's fixed address — partners file a node's backups under its
+// member ID, which defaults to that address — and the bind can race the
+// old socket's teardown.
+func startNode(t *testing.T, seed int64, cfg cluster.LiveConfig) *cluster.LiveNode {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		n, err := cluster.NewLiveNode(cfg)
@@ -137,9 +140,19 @@ func (c *chaosPair) startNode(cfg cluster.LiveConfig) *cluster.LiveNode {
 			return n
 		}
 		if time.Now().After(deadline) {
-			c.t.Fatalf("seed %d: node %s did not start: %v", c.seed, cfg.Name, err)
+			t.Fatalf("seed %d: node %s did not start: %v", seed, cfg.Name, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// joinPair makes n a 2-member ring with peer at epoch 1: what
+// LiveConfig.PeerAddr sets up at construction, for a node built before
+// its partner's address was known.
+func joinPair(t *testing.T, n *cluster.LiveNode, peer string) {
+	t.Helper()
+	if err := n.SetMembers(1, []string{n.Addr(), peer}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -184,8 +197,8 @@ func (c *chaosPair) calmly(what string, op func() error) {
 // checkInvariants runs the durability checkers against the current pair.
 // Call only at quiescent points (writers paused or finished).
 func (c *chaosPair) checkInvariants(tr *Tracker, stage string) {
-	vs := Durability(tr, c.a, c.b)
-	vs = append(vs, DiscardSafety(tr, c.a, c.b)...)
+	vs := Durability(tr, c.a, c.addrA, c.b)
+	vs = append(vs, DiscardSafety(tr, c.a, c.addrA, c.b)...)
 	for _, v := range vs {
 		c.t.Errorf("%s: %s", stage, v)
 	}
@@ -197,8 +210,8 @@ func (c *chaosPair) checkInvariants(tr *Tracker, stage string) {
 // restartB replaces a crashed B with a fresh node on the same address and
 // waits for A's heartbeat to revive the partnership.
 func (c *chaosPair) restartB() {
-	c.b = c.startNode(c.nodeConfig("B", c.addrB, c.t.TempDir(), c.netB))
-	c.b.SetPeer(c.addrA)
+	c.b = startNode(c.t, c.seed, c.nodeConfig("B", c.addrB, c.t.TempDir(), c.netB))
+	joinPair(c.t, c.b, c.addrA)
 	c.waitFor("A to re-establish the pair", func() bool {
 		c.mu.RLock()
 		defer c.mu.RUnlock()
@@ -239,11 +252,11 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 
 	// Bind both listeners fault-free on :0 first to learn the pair's
 	// fixed addresses; replacement nodes rebind the same address.
-	c.a = c.startNode(c.nodeConfig("A", "127.0.0.1:0", c.dirA, c.netA))
-	c.b = c.startNode(c.nodeConfig("B", "127.0.0.1:0", t.TempDir(), c.netB))
+	c.a = startNode(t, seed, c.nodeConfig("A", "127.0.0.1:0", c.dirA, c.netA))
+	c.b = startNode(t, seed, c.nodeConfig("B", "127.0.0.1:0", t.TempDir(), c.netB))
 	c.addrA, c.addrB = c.a.Addr(), c.b.Addr()
-	c.a.SetPeer(c.addrB)
-	c.b.SetPeer(c.addrA)
+	joinPair(t, c.a, c.addrB)
+	joinPair(t, c.b, c.addrA)
 	c.calmly("initial hello", c.a.ConnectPeer)
 	c.a.StartHeartbeat()
 	defer func() {
@@ -327,8 +340,8 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 	// dirty pages from B's RCT. Acked writes must all survive the swap.
 	c.a.Crash()
 	c.mu.Lock()
-	a2 := c.startNode(c.nodeConfig("A", c.addrA, c.dirA, c.netA))
-	a2.SetPeer(c.addrB)
+	a2 := startNode(t, seed, c.nodeConfig("A", c.addrA, c.dirA, c.netA))
+	joinPair(t, a2, c.addrB)
 	c.calmly("post-crash hello", a2.ConnectPeer)
 	c.calmly("recover from peer", a2.RecoverFromPeer)
 	a2.StartHeartbeat()

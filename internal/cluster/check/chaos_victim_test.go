@@ -106,9 +106,9 @@ func runVictimChaos(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	addrB := b.Addr()
-	a.SetPeer(addrB)
-	b.SetPeer(a.Addr())
+	addrA, addrB := a.Addr(), b.Addr()
+	joinPair(t, a, addrB)
+	joinPair(t, b, addrA)
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,12 +172,8 @@ func runVictimChaos(t *testing.T, seed int64) {
 	// configured. The victim log is never read back: the reborn tier MUST
 	// start cold, and recovery + repair must converge from B alone.
 	inj2 := faultfs.New(seed + 7)
-	a2, err := cluster.NewLiveNode(victimNodeConfig("A2", "127.0.0.1:0", dirA, inj2))
-	if err != nil {
-		t.Fatalf("seed %d: reopen over damaged store: %v", seed, err)
-	}
-	a2.SetPeer(addrB)
-	b.SetPeer(a2.Addr())
+	a2 := startNode(t, seed, victimNodeConfig("A2", addrA, dirA, inj2))
+	joinPair(t, a2, addrB)
 	if err := a2.ConnectPeer(); err != nil {
 		t.Fatalf("seed %d: post-crash hello: %v", seed, err)
 	}
@@ -211,7 +207,7 @@ func runVictimChaos(t *testing.T, seed int64) {
 		t.Errorf("reborn victim tier served %d hits before any admission — stale log contents leaked; reproduce with CHAOS_SEED=%d",
 			st2.VictimHits, seed)
 	}
-	for _, v := range append(Durability(tr, a2, b), DiscardSafety(tr, a2, b)...) {
+	for _, v := range append(Durability(tr, a2, addrA, b), DiscardSafety(tr, a2, addrA, b)...) {
 		t.Errorf("after crash+restart: %s (reproduce with CHAOS_SEED=%d)", v, seed)
 	}
 	if t.Failed() {

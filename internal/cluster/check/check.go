@@ -1,21 +1,22 @@
 // Package check contains the durability invariant checkers for a
-// cooperative FlashCoop pair. It is a testing aid: a Tracker records every
-// write attempt a client makes and which of them were acknowledged, and
-// the checkers compare that history against snapshots of the pair's state
-// (local dirty buffer, partner RCT backups, persisted page store) taken at
-// a quiescent point — after a crash, a failover, or a recovery.
+// cooperative FlashCoop ring (a pair is a 2-member ring). It is a testing
+// aid: a Tracker records every write attempt a client makes and which of
+// them were acknowledged, and the checkers compare that history against
+// snapshots of the cluster's state (local dirty buffer, the partners'
+// backups held for the node, persisted page store) taken at a quiescent
+// point — after a crash, a failover, or a recovery.
 //
 // The invariants:
 //
 //  1. Acked-write durability (Durability): every acknowledged write is
-//     reconstructible from local buffer ∪ peer RCT ∪ persisted store.
+//     reconstructible from local buffer ∪ partner backups ∪ persisted store.
 //     A concurrent attempt that was never acknowledged may legally have
 //     replaced the acked value (it raced the ack and partially applied),
 //     so a copy matching any open attempt also satisfies the invariant;
 //     what is never legal is the page holding no tracked value at all.
 //  2. Discard safety (DiscardSafety): a backup discard is only issued
-//     after the page is durable, so a page absent from both the partner
-//     RCT and the local dirty buffer must be in the persisted store.
+//     after the page is durable, so a page absent from every partner's
+//     backups and the local dirty buffer must be in the persisted store.
 //  3. Seq/ack sanity (SeqChecker, seqcheck.go): request seqs on a
 //     connection are never reused and every response matches exactly one
 //     outstanding request.
@@ -28,15 +29,21 @@ import (
 	"sync"
 )
 
-// NodeState is the inspection surface a checker needs from one node.
-// *cluster.LiveNode satisfies it; unit tests use fakes.
+// NodeState is the inspection surface a checker needs from the node whose
+// writes are tracked. *cluster.LiveNode satisfies it; unit tests use fakes.
 type NodeState interface {
 	// SnapshotDirty returns the locally buffered dirty payloads by LPN.
 	SnapshotDirty() map[int64][]byte
-	// SnapshotRemote returns the partner backups held by this node by LPN.
-	SnapshotRemote() map[int64][]byte
 	// DurableGet returns the persisted payload for lpn, or nil.
 	DurableGet(lpn int64) []byte
+}
+
+// RemoteHolder is the surface a backup holder exposes: its per-origin
+// hold snapshot. *cluster.LiveNode satisfies it.
+type RemoteHolder interface {
+	// SnapshotRemoteFor returns the backups this node holds for the named
+	// origin (a member ID) by LPN.
+	SnapshotRemoteFor(origin string) map[int64][]byte
 }
 
 // Violation is one invariant breach.
@@ -151,26 +158,14 @@ func (t *Tracker) Valid(lpn int64, data []byte) bool {
 	return false
 }
 
-// RemoteHolder is the surface a ring backup holder exposes: its per-origin
-// hold snapshot. *cluster.LiveNode satisfies it.
-type RemoteHolder interface {
-	// SnapshotRemoteFor returns the backups this node holds for the named
-	// origin (a member ID) by LPN.
-	SnapshotRemoteFor(origin string) map[int64][]byte
-}
-
-// RingRemotes gathers every live holder's backups for one origin. On a
-// ring the origin's pages are spread across its partners (and, after a
-// membership change, possibly duplicated on former owners with stale
-// versions), so the checkers must consider the union: a copy on ANY
-// holder counts, and the stamp guards make stale duplicates harmless.
-// Nil holders (crashed members) are skipped.
-func RingRemotes(origin string, holders ...RemoteHolder) []map[int64][]byte {
+// backups gathers every holder's backups for origin. On a ring the
+// origin's pages are spread across its partners (and, after a membership
+// change, possibly duplicated on former owners with stale versions), so
+// the checkers consider the union: a copy on ANY holder counts, and the
+// stamp guards make stale duplicates harmless.
+func backups(origin string, holders []RemoteHolder) []map[int64][]byte {
 	out := make([]map[int64][]byte, 0, len(holders))
 	for _, h := range holders {
-		if h == nil {
-			continue
-		}
 		out = append(out, h.SnapshotRemoteFor(origin))
 	}
 	return out
@@ -194,22 +189,13 @@ func copies(lpn int64, dirty map[int64][]byte, remotes []map[int64][]byte, local
 	return out
 }
 
-// Durability checks invariant 1 against a quiesced pair: for every page
-// with an acknowledged write, at least one copy across local dirty buffer,
-// partner RCT, and persisted store must hold a tracked value. peer is the
-// partner that backs up local's writes; pass nil when it is down.
-func Durability(t *Tracker, local, peer NodeState) []Violation {
-	var remotes []map[int64][]byte
-	if peer != nil {
-		remotes = append(remotes, peer.SnapshotRemote())
-	}
-	return DurabilityRemotes(t, local, remotes)
-}
-
-// DurabilityRemotes is Durability over an arbitrary set of backup holders
-// — the ring form, where local's pages are spread across several
-// partners' per-origin holds (see RingRemotes).
-func DurabilityRemotes(t *Tracker, local NodeState, remotes []map[int64][]byte) []Violation {
+// Durability checks invariant 1 against a quiesced cluster: for every
+// page with an acknowledged write, at least one copy across local's dirty
+// buffer, the backups the live holders keep for origin (local's member
+// ID), and local's persisted store must hold a tracked value. Leave out
+// holders that are down.
+func Durability(t *Tracker, local NodeState, origin string, holders ...RemoteHolder) []Violation {
+	remotes := backups(origin, holders)
 	dirty := local.SnapshotDirty()
 	var out []Violation
 	for _, lpn := range t.Pages() {
@@ -238,21 +224,13 @@ func DurabilityRemotes(t *Tracker, local NodeState, remotes []map[int64][]byte) 
 	return out
 }
 
-// DiscardSafety checks invariant 2: a page whose backup is gone from the
-// partner RCT and which is no longer dirty locally must be durable — the
-// node only issues a discard after persisting the page, so "no backup, no
+// DiscardSafety checks invariant 2: a page whose backup is gone from every
+// holder and which is no longer dirty locally must be durable — the node
+// only issues a discard after persisting the page, so "no backup, no
 // buffer, no store copy" means a discard ran ahead of durability.
-func DiscardSafety(t *Tracker, local, peer NodeState) []Violation {
-	var remotes []map[int64][]byte
-	if peer != nil {
-		remotes = append(remotes, peer.SnapshotRemote())
-	}
-	return DiscardSafetyRemotes(t, local, remotes)
-}
-
-// DiscardSafetyRemotes is DiscardSafety over an arbitrary set of backup
-// holders (the ring form; see RingRemotes).
-func DiscardSafetyRemotes(t *Tracker, local NodeState, remotes []map[int64][]byte) []Violation {
+// Arguments are as for Durability.
+func DiscardSafety(t *Tracker, local NodeState, origin string, holders ...RemoteHolder) []Violation {
+	remotes := backups(origin, holders)
 	dirty := local.SnapshotDirty()
 	var out []Violation
 	for _, lpn := range t.Pages() {

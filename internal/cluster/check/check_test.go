@@ -9,7 +9,8 @@ import (
 	"flashcoop/internal/cluster"
 )
 
-// fakeNode is a hand-rolled NodeState for unit tests.
+// fakeNode is a hand-rolled NodeState and RemoteHolder for unit tests;
+// remote is the hold it keeps for the origin "local".
 type fakeNode struct {
 	dirty   map[int64][]byte
 	remote  map[int64][]byte
@@ -24,9 +25,14 @@ func newFakeNode() *fakeNode {
 	}
 }
 
-func (f *fakeNode) SnapshotDirty() map[int64][]byte  { return f.dirty }
-func (f *fakeNode) SnapshotRemote() map[int64][]byte { return f.remote }
-func (f *fakeNode) DurableGet(lpn int64) []byte      { return f.durable[lpn] }
+func (f *fakeNode) SnapshotDirty() map[int64][]byte { return f.dirty }
+func (f *fakeNode) DurableGet(lpn int64) []byte     { return f.durable[lpn] }
+func (f *fakeNode) SnapshotRemoteFor(origin string) map[int64][]byte {
+	if origin != "local" {
+		return nil
+	}
+	return f.remote
+}
 
 func TestDurabilityInvariant(t *testing.T) {
 	tr := NewTracker()
@@ -37,37 +43,41 @@ func TestDurabilityInvariant(t *testing.T) {
 	local, peer := newFakeNode(), newFakeNode()
 
 	// No copy anywhere: violation.
-	if vs := Durability(tr, local, peer); len(vs) != 1 || vs[0].LPN != 7 {
+	if vs := Durability(tr, local, "local", peer); len(vs) != 1 || vs[0].LPN != 7 {
 		t.Fatalf("want 1 violation on lpn 7, got %v", vs)
 	}
 
 	// A copy in any of the three places satisfies the invariant.
 	local.dirty[7] = v1
-	if vs := Durability(tr, local, peer); len(vs) != 0 {
+	if vs := Durability(tr, local, "local", peer); len(vs) != 0 {
 		t.Fatalf("dirty copy not accepted: %v", vs)
 	}
 	delete(local.dirty, 7)
 	peer.remote[7] = v1
-	if vs := Durability(tr, local, peer); len(vs) != 0 {
+	if vs := Durability(tr, local, "local", peer); len(vs) != 0 {
 		t.Fatalf("peer RCT copy not accepted: %v", vs)
 	}
 	peer.remote = map[int64][]byte{}
 	local.durable[7] = v1
-	if vs := Durability(tr, local, peer); len(vs) != 0 {
+	if vs := Durability(tr, local, "local", peer); len(vs) != 0 {
 		t.Fatalf("persisted copy not accepted: %v", vs)
 	}
 
 	// A copy holding garbage instead of any tracked value: violation.
 	local.durable[7] = []byte("garbage-val")
-	if vs := Durability(tr, local, peer); len(vs) != 1 {
+	if vs := Durability(tr, local, "local", peer); len(vs) != 1 {
 		t.Fatalf("untracked value not flagged: %v", vs)
 	}
 
-	// A crashed peer (nil) must not hide the loss.
+	// A crashed peer (left out) must not hide the loss.
 	local.durable = map[int64][]byte{}
 	peer.remote[7] = v1
-	if vs := Durability(tr, local, nil); len(vs) != 1 {
-		t.Fatalf("nil peer should drop the RCT copy: %v", vs)
+	if vs := Durability(tr, local, "local"); len(vs) != 1 {
+		t.Fatalf("absent peer should drop the RCT copy: %v", vs)
+	}
+	// Nor may a backup filed under another origin.
+	if vs := Durability(tr, local, "other", peer); len(vs) != 1 {
+		t.Fatalf("another origin's hold accepted: %v", vs)
 	}
 }
 
@@ -80,7 +90,7 @@ func TestDurabilityAcceptsPendingOverwrite(t *testing.T) {
 
 	local, peer := newFakeNode(), newFakeNode()
 	local.dirty[3] = v2 // the failed overwrite is what actually landed
-	if vs := Durability(tr, local, peer); len(vs) != 0 {
+	if vs := Durability(tr, local, "local", peer); len(vs) != 0 {
 		t.Fatalf("open attempt's value must be legal: %v", vs)
 	}
 }
@@ -95,21 +105,21 @@ func TestDiscardSafetyInvariant(t *testing.T) {
 
 	// Backup gone, buffer clean, store has it: the legal post-flush state.
 	local.durable[11] = v
-	if vs := DiscardSafety(tr, local, peer); len(vs) != 0 {
+	if vs := DiscardSafety(tr, local, "local", peer); len(vs) != 0 {
 		t.Fatalf("legal discard flagged: %v", vs)
 	}
 
 	// Backup still held: store may lag, no violation.
 	local.durable = map[int64][]byte{}
 	peer.remote[11] = v
-	if vs := DiscardSafety(tr, local, peer); len(vs) != 0 {
+	if vs := DiscardSafety(tr, local, "local", peer); len(vs) != 0 {
 		t.Fatalf("live backup should excuse the store: %v", vs)
 	}
 
 	// Backup gone, buffer clean, store empty: the discard ran ahead of
 	// durability.
 	peer.remote = map[int64][]byte{}
-	vs := DiscardSafety(tr, local, peer)
+	vs := DiscardSafety(tr, local, "local", peer)
 	if len(vs) != 1 || vs[0].LPN != 11 {
 		t.Fatalf("unsafe discard not flagged: %v", vs)
 	}

@@ -138,6 +138,16 @@ func liveSSD() ssd.Config {
 	}
 }
 
+// joinPair makes n a 2-member ring with peer at epoch 1: what
+// LiveConfig.PeerAddr sets up at construction, for a node built before
+// its partner's address was known.
+func joinPair(t testing.TB, n *LiveNode, peer string) {
+	t.Helper()
+	if err := n.SetMembers(1, []string{n.Addr(), peer}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // livePair brings up two connected live nodes on localhost.
 func livePair(t *testing.T) (*LiveNode, *LiveNode) {
 	t.Helper()
@@ -160,7 +170,7 @@ func livePair(t *testing.T) (*LiveNode, *LiveNode) {
 		a.Close()
 		t.Fatal(err)
 	}
-	a.SetPeer(b.Addr())
+	joinPair(t, a, b.Addr())
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}
@@ -259,9 +269,10 @@ func TestLiveRecoveryAfterCrash(t *testing.T) {
 	// Simulate a's crash: abrupt stop, nothing flushed.
 	a.Crash()
 
-	// A replacement node for a recovers from b's remote buffer.
+	// A replacement node for a recovers from b's remote buffer; it comes
+	// back on a's address, the member ID b filed a's backups under.
 	a2, err := NewLiveNode(LiveConfig{
-		Name: "a2", ListenAddr: "127.0.0.1:0", PeerAddr: b.Addr(),
+		Name: "a2", ListenAddr: a.Addr(), PeerAddr: b.Addr(),
 		BufferPages: 64, RemotePages: 128, SSD: liveSSD(),
 		CallTimeout: 500 * time.Millisecond,
 	})

@@ -169,12 +169,10 @@ const maxDiscardDefers = 8
 func (l *peerLink) sendBatch(batch []fwdEntry, inflight chan struct{}) {
 	n := l.n
 	msg, chunks := buildBatchMessage(batch)
-	// Ring frames carry the sender's identity and ownership epoch so the
+	// Every frame carries the sender's identity and ownership epoch so the
 	// receiver files backups per origin and rejects frames routed under a
-	// stale layout; pair frames leave Origin empty and Epoch zero.
-	if rs := n.rs.Load(); rs != nil && rs.ring != nil {
-		msg.Origin, msg.Epoch = rs.self, rs.epoch
-	}
+	// stale layout.
+	msg.Origin, msg.Epoch = n.selfID, n.epochA.Load()
 	pc, err := l.client.startChunks(msg, chunks)
 	if err != nil {
 		<-inflight

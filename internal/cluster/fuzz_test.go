@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"flashcoop/internal/core"
 	"flashcoop/internal/ssd"
 	"flashcoop/internal/stream"
 )
@@ -115,12 +114,7 @@ func FuzzDecodeResync(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	n := &LiveNode{
-		dev:         dev,
-		remote:      core.NewRemoteStore(128),
-		remoteData:  make(map[int64][]byte),
-		remoteStamp: make(map[int64]uint64),
-	}
+	n := &LiveNode{dev: dev, remoteBudget: 128}
 	ps := dev.PageSize()
 	n.pagePool.New = func() any { return make([]byte, ps) }
 
@@ -283,12 +277,7 @@ func FuzzDecodeEpoch(f *testing.F) {
 	// A bare node, as in FuzzDecodeResync: the epoch gate and backup
 	// insert only need the hold side. RemotePages bounds the per-origin
 	// holds fuzzed Origins create.
-	n := &LiveNode{
-		dev:         dev,
-		remote:      core.NewRemoteStore(128),
-		remoteData:  make(map[int64][]byte),
-		remoteStamp: make(map[int64]uint64),
-	}
+	n := &LiveNode{dev: dev, remoteBudget: 128}
 	n.cfg.RemotePages = 128
 	n.pageSize = dev.PageSize()
 	n.pagePool.New = func() any { return make([]byte, n.pageSize) }

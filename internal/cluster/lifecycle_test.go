@@ -370,7 +370,7 @@ func TestRejoinResyncsDegradedWrites(t *testing.T) {
 		t.Fatalf("lifecycle = %v, want healthy", got)
 	}
 	// B's backup for the page must be the post-outage version.
-	if got := b.SnapshotRemote()[lpn]; !bytes.Equal(got, v2) {
+	if got := b.SnapshotRemoteFor(a.Addr())[lpn]; !bytes.Equal(got, v2) {
 		var head string
 		if len(got) > 0 {
 			head = fmt.Sprintf("%x", got[0])

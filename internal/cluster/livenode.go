@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"flashcoop/internal/buffer"
-	"flashcoop/internal/core"
 	"flashcoop/internal/faultfs"
 	"flashcoop/internal/flash"
 	"flashcoop/internal/metrics"
@@ -28,19 +27,24 @@ import (
 type LiveConfig struct {
 	Name       string
 	ListenAddr string // e.g. "127.0.0.1:0"
-	PeerAddr   string // pair-mode partner address; empty starts degraded
+	// PeerAddr is shorthand for the cooperative pair: it sets Peers to
+	// {NodeID, PeerAddr}, a 2-member ring. Mutually exclusive with Peers.
+	PeerAddr string
 
 	// Peers, when set, wires the node into an N-node cooperative ring at
-	// epoch 1 instead of a fixed pair: the list is the full membership —
-	// every member's partner listen address, INCLUDING this node's own
-	// (see NodeID) — and each page's backup owners are chosen by hashing
-	// its erase block onto a consistent-hash ring over the list (see
-	// ring.go). Mutually exclusive with PeerAddr.
+	// epoch 1: the list is the full membership — every member's partner
+	// listen address, INCLUDING this node's own (see NodeID) — and each
+	// page's backup owners are chosen by hashing its erase block onto a
+	// consistent-hash ring over the list (see ring.go). A node with
+	// neither Peers nor PeerAddr starts solo at epoch 0 and only holds the
+	// backups other members forward to it.
 	Peers []string
 	// NodeID is this node's ring member ID; it must match the entry in
 	// Peers that refers to this node. Defaults to the bound listen address
 	// (fine when ListenAddr is concrete; with ":0" pass the advertised
-	// address explicitly).
+	// address explicitly). Partners file this node's backups under its ID,
+	// so a replacement recovers them only if it comes back with the same
+	// ID — for the default, the same listen address.
 	NodeID string
 	// Replication is how many distinct ring members back up each dirty
 	// page (clamped to len(members)-1). Default 1 — the pair-equivalent
@@ -421,9 +425,8 @@ type LiveNode struct {
 	closing bool // set by shutdown before stop closes; gates prober starts
 
 	// Partner links and ring layout (all guarded by n.mu; hot paths read
-	// the immutable snapshot in rs instead). Pair mode is links of length
-	// one with ring nil and epoch 0; ring mode carries the full sorted
-	// member list including selfID.
+	// the immutable snapshot in rs instead). members is the full sorted
+	// member list including selfID; epoch 0 means never configured.
 	links   []*peerLink
 	ring    *Ring
 	epoch   uint64
@@ -435,22 +438,12 @@ type LiveNode struct {
 	rs     atomic.Pointer[ringState]
 	epochA atomic.Uint64
 
-	// Per-origin backup holds. The default hold (defHold, lazily built)
-	// aliases the legacy remote/remoteData/remoteStamp fields and serves
-	// pair-mode partners, whose frames carry no origin; ring partners get
-	// their own hold in remotes, keyed by member ID, with the remote-page
-	// budget split across them by observed write intensity (rebalance.go).
-	remote      *core.RemoteStore
-	remoteData  map[int64][]byte // payloads backed up for the pair partner
-	remoteStamp map[int64]uint64 // write stamps of those backups
-	defHold     *remoteHold
-	remotes     map[string]*remoteHold
-
-	// alive aggregates the links' lifecycle states (all links alive) so
-	// pair-mode callers of PeerAlive read one atomic; per-link routing
-	// reads each link's own alive mirror. Updated by syncAliveLocked
-	// inside every critical section that fed a lifecycle an event.
-	alive atomic.Bool
+	// Per-origin backup holds, keyed by the sending member's ID, with the
+	// remote-page budget split across them by observed write intensity
+	// (rebalance.go). remoteBudget starts at RemotePages; the Eq. 1
+	// exchange of a node with one partner resizes it.
+	remotes      map[string]*remoteHold
+	remoteBudget int
 
 	winReads  atomic.Int64 // workload window for dynamic allocation
 	winWrites atomic.Int64
@@ -478,7 +471,7 @@ type LiveNode struct {
 	poisonedAny atomic.Bool
 
 	stats    LiveStats // atomic access only
-	pagePool sync.Pool // page-size []byte buffers for dirtyData/remoteData
+	pagePool sync.Pool // page-size []byte buffers for dirty and backup payloads
 
 	writeLat *metrics.StripedLatencyHist // full Write latency, ms
 	fwdLat   *metrics.StripedLatencyHist // forward enqueue-to-ack latency, ms
@@ -499,6 +492,9 @@ type LiveNode struct {
 // NewLiveNode constructs the node, binds its listener, and starts serving
 // partner requests. Call ConnectPeer (and optionally StartHeartbeat) next.
 func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
+	if cfg.PeerAddr != "" && len(cfg.Peers) > 0 {
+		return nil, fmt.Errorf("cluster %s: PeerAddr and Peers are mutually exclusive", cfg.Name)
+	}
 	cfg = cfg.withDefaults()
 	dev, err := ssd.New(cfg.SSD)
 	if err != nil {
@@ -561,24 +557,22 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		return nil, fmt.Errorf("cluster %s: %w", cfg.Name, err)
 	}
 	n := &LiveNode{
-		cfg:         cfg,
-		buf:         buf,
-		shards:      make([]liveShard, ns),
-		store:       store,
-		victim:      vc,
-		dev:         dev,
-		pageSize:    dev.PageSize(),
-		ppb:         dev.PagesPerBlock(),
-		remote:      core.NewRemoteStore(cfg.RemotePages),
-		remoteData:  make(map[int64][]byte),
-		remoteStamp: make(map[int64]uint64),
-		admit:       make(chan struct{}, cfg.AdmissionLimit),
-		writeLat:    metrics.NewStripedLatencyHist(ns),
-		fwdLat:      metrics.NewStripedLatencyHist(ns),
-		ln:          ln,
-		start:       time.Now(),
-		stop:        make(chan struct{}),
-		conns:       make(map[net.Conn]struct{}),
+		cfg:          cfg,
+		buf:          buf,
+		shards:       make([]liveShard, ns),
+		store:        store,
+		victim:       vc,
+		dev:          dev,
+		pageSize:     dev.PageSize(),
+		ppb:          dev.PagesPerBlock(),
+		remoteBudget: cfg.RemotePages,
+		admit:        make(chan struct{}, cfg.AdmissionLimit),
+		writeLat:     metrics.NewStripedLatencyHist(ns),
+		fwdLat:       metrics.NewStripedLatencyHist(ns),
+		ln:           ln,
+		start:        time.Now(),
+		stop:         make(chan struct{}),
+		conns:        make(map[net.Conn]struct{}),
 	}
 	n.selfID = cfg.NodeID
 	if n.selfID == "" {
@@ -617,10 +611,12 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	for i := 0; i < ns; i++ {
 		go n.evictLoop(i)
 	}
+	peers := cfg.Peers
 	if cfg.PeerAddr != "" {
-		n.SetPeer(cfg.PeerAddr)
-	} else if len(cfg.Peers) > 0 {
-		if err := n.SetMembers(1, cfg.Peers); err != nil {
+		peers = []string{n.selfID, cfg.PeerAddr}
+	}
+	if len(peers) > 0 {
+		if err := n.SetMembers(1, peers); err != nil {
 			n.Close()
 			return nil, err
 		}
@@ -792,9 +788,16 @@ func (n *LiveNode) recordLatency(h *metrics.StripedLatencyHist, since time.Time)
 // PeerAlive reports whether cooperative buffering is currently on with
 // EVERY partner: each link Healthy, or Suspect with its session still
 // live. A link that failed over stays not-alive until a resync completes,
-// however many heartbeats succeed in between. With one link (pair mode)
-// this is exactly the pre-ring semantics.
-func (n *LiveNode) PeerAlive() bool { return n.alive.Load() }
+// however many heartbeats succeed in between.
+func (n *LiveNode) PeerAlive() bool {
+	links := n.linksSnapshot()
+	for _, l := range links {
+		if !l.alive.Load() {
+			return false
+		}
+	}
+	return len(links) > 0
+}
 
 // PeerLifecycle reports the partner lifecycle state: with one link, that
 // link's state; with several, Healthy only when all are Healthy, else the
@@ -813,19 +816,13 @@ func (n *LiveNode) PeerLifecycle() PeerState {
 	return StateHealthy
 }
 
-// syncAliveLocked refreshes every link's hot-path alive mirror and the
-// aggregate; it must be called before releasing n.mu in every critical
-// section that fed a lifecycle an event (or changed the link set).
+// syncAliveLocked refreshes every link's hot-path alive mirror; it must
+// be called before releasing n.mu in every critical section that fed a
+// lifecycle an event (or changed the link set).
 func (n *LiveNode) syncAliveLocked() {
-	all := len(n.links) > 0
 	for _, l := range n.links {
-		a := l.lc.alive()
-		l.alive.Store(a)
-		if !a {
-			all = false
-		}
+		l.alive.Store(l.lc.alive())
 	}
-	n.alive.Store(all)
 }
 
 // Device exposes the timing/wear model. The node serializes its own
@@ -842,26 +839,28 @@ func (n *LiveNode) Buffer() buffer.Cache { return n.buf }
 // NumShards reports the hot-path shard count.
 func (n *LiveNode) NumShards() int { return len(n.shards) }
 
-// Remote exposes the partner-backup store. The store itself is not
-// synchronized and the serve loop mutates it on partner messages, so only
-// touch it through this method when the node is quiesced (stopped, or its
-// partner disconnected); use RemoteLen/RemoteContains while serving.
-func (n *LiveNode) Remote() *core.RemoteStore { return n.remote }
-
-// RemoteLen reports the number of partner pages backed up here, safely
-// with respect to the serve loop.
+// RemoteLen reports the number of partner pages backed up here, summed
+// over every origin's hold.
 func (n *LiveNode) RemoteLen() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.remote.Len()
+	total := 0
+	for _, h := range n.remotes {
+		total += h.store.Len()
+	}
+	return total
 }
 
-// RemoteContains reports whether lpn is backed up here, safely with
-// respect to the serve loop.
+// RemoteContains reports whether lpn is backed up here for any origin.
 func (n *LiveNode) RemoteContains(lpn int64) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.remote.Contains(lpn)
+	for _, h := range n.remotes {
+		if h.store.Contains(lpn) {
+			return true
+		}
+	}
+	return false
 }
 
 // vnow maps wall-clock time onto the device's virtual time line.
@@ -974,16 +973,12 @@ func (n *LiveNode) heartbeatOnce() {
 	}
 	// One GC-pressure reading covers the whole round.
 	pressure := n.GCPressure()
-	origin := ""
-	if rs := n.rs.Load(); rs != nil && rs.ring != nil {
-		origin = rs.self
-	}
 	for _, l := range links {
 		atomic.AddInt64(&n.stats.HeartbeatsSent, 1)
 		// Each heartbeat carries this node's GC pressure and brings back
 		// the partner's: the gossip that drives GC-aware drain scheduling
 		// rides the existing liveness exchange, no extra round trips.
-		resp, err := l.client.call(&Message{Type: MsgHeartbeat, Pressure: pressure, Origin: origin})
+		resp, err := l.client.call(&Message{Type: MsgHeartbeat, Pressure: pressure, Origin: n.selfID})
 		if err == nil {
 			l.pressure.Store(math.Float64bits(resp.Pressure))
 		}
@@ -1077,8 +1072,8 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 	}
 
 	// Forward phase: plan the write's pages onto their owner links (the
-	// single partner in pair mode; the ring successors of each page's
-	// erase block in ring mode), enqueue one group per live owner, then
+	// ring successors of each page's erase block), enqueue one group per
+	// live owner, then
 	// wait for EVERY group's ack — the payload slices ride to the socket
 	// by reference, so no frame may still be in flight when Write returns.
 	rs := n.rs.Load()
@@ -1440,18 +1435,12 @@ func (n *LiveNode) RecoverFromPeer() error {
 	if len(links) == 0 {
 		return errNoPeer
 	}
-	// Ring partners file this node's backups under its member ID; the
-	// fetch names it so each holder returns OUR hold, not someone else's.
-	origin := ""
-	if rs := n.rs.Load(); rs != nil && rs.ring != nil {
-		origin = rs.self
-	}
 	var firstErr error
 	for _, l := range links {
 		// Every holder is drained even when one fails (the stamp guard
 		// makes overlapping applies safe in any order); the first error is
 		// reported so the caller knows recovery may be partial.
-		if err := n.recoverFromLink(l, origin); err != nil && firstErr == nil {
+		if err := n.recoverFromLink(l); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -1459,10 +1448,12 @@ func (n *LiveNode) RecoverFromPeer() error {
 }
 
 // recoverFromLink fetches, applies, and cleans one holder's backup set.
-func (n *LiveNode) recoverFromLink(l *peerLink, origin string) error {
+// Holders file this node's backups under its member ID; the fetch names
+// it so each holder returns OUR hold, not someone else's.
+func (n *LiveNode) recoverFromLink(l *peerLink) error {
 	// The RCT fetch moves the holder's whole remote buffer in one frame;
 	// budget it as a bulk transfer, not a per-page call.
-	resp, err := l.client.callT(&Message{Type: MsgFetchRCT, Origin: origin}, n.cfg.BulkTimeout)
+	resp, err := l.client.callT(&Message{Type: MsgFetchRCT, Origin: n.selfID}, n.cfg.BulkTimeout)
 	if err != nil {
 		return err
 	}
@@ -1533,7 +1524,7 @@ func (n *LiveNode) recoverFromLink(l *peerLink, origin string) error {
 	if err := n.store.flush(); err != nil {
 		return err
 	}
-	_, err = l.client.callT(&Message{Type: MsgCleanRemote, Origin: origin}, n.cfg.BulkTimeout)
+	_, err = l.client.callT(&Message{Type: MsgCleanRemote, Origin: n.selfID}, n.cfg.BulkTimeout)
 	return err
 }
 
@@ -1551,7 +1542,7 @@ func (n *LiveNode) Close() error {
 
 // waitLinks reaps every link's goroutines (forwarder, prober, in-flight
 // ack waiters) after shutdown halted them. The link set is static by now:
-// closing (set under n.mu before the halt) gates SetMembers and SetPeer.
+// closing (set under n.mu before the halt) gates SetMembers.
 func (n *LiveNode) waitLinks() {
 	n.mu.Lock()
 	links := append([]*peerLink(nil), n.links...)
@@ -1841,51 +1832,6 @@ func (n *LiveNode) applyBackup(m *Message, ack MsgType) *Message {
 	return &Message{Type: ack}
 }
 
-// gcRemoteDataLocked drops payloads whose RCT entries were evicted by
-// remote-store overflow.
-func (n *LiveNode) gcRemoteDataLocked() {
-	if len(n.remoteData) <= n.remote.Len() {
-		return
-	}
-	for lpn, pg := range n.remoteData {
-		if !n.remote.Contains(lpn) {
-			n.putPage(pg)
-			delete(n.remoteData, lpn)
-			delete(n.remoteStamp, lpn)
-		}
-	}
-}
-
-// SetPeer points the node at its pair partner's address, creating (and
-// starting) the partner link with the node's configured dialer and
-// timeout. Call it before any partner traffic (ConnectPeer, Write,
-// StartHeartbeat); it exists so a pair can be wired up after both
-// listeners are bound. Any previously configured links are torn down.
-func (n *LiveNode) SetPeer(addr string) {
-	n.mu.Lock()
-	if n.closing {
-		n.mu.Unlock()
-		return
-	}
-	var old []*peerLink
-	for _, l := range n.links {
-		l.removed = true
-		old = append(old, l)
-	}
-	l := n.newLinkLocked(addr)
-	n.links = []*peerLink{l}
-	n.ring = nil
-	n.members = nil
-	n.publishRSLocked()
-	n.syncAliveLocked()
-	n.mu.Unlock()
-	for _, o := range old {
-		o.halt()
-		o.wg.Wait()
-	}
-	l.start()
-}
-
 // SnapshotDirty returns a copy of the locally buffered dirty payloads —
 // including evicted pages still pinned in the flush pipeline, which are
 // volatile in exactly the same way — keyed by LPN. It is an inspection
@@ -1914,25 +1860,7 @@ func (n *LiveNode) SnapshotDirty() map[int64][]byte {
 	return out
 }
 
-// SnapshotRemote returns a copy of the pair-mode partner backups held
-// here (the default hold), keyed by LPN. Inspection hook for invariant
-// checkers; ring holds are inspected per origin with SnapshotRemoteFor.
-func (n *LiveNode) SnapshotRemote() map[int64][]byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[int64][]byte, len(n.remoteData))
-	for lpn, pg := range n.remoteData {
-		if !n.remote.Contains(lpn) {
-			continue
-		}
-		cp := make([]byte, len(pg))
-		copy(cp, pg)
-		out[lpn] = cp
-	}
-	return out
-}
-
-// SnapshotRemoteFor returns a copy of the backups held here for one ring
+// SnapshotRemoteFor returns a copy of the backups held here for one
 // origin (a member ID), keyed by LPN; nil when no hold exists for it.
 // Inspection hook for invariant checkers.
 func (n *LiveNode) SnapshotRemoteFor(origin string) map[int64][]byte {

@@ -34,7 +34,7 @@ func inprocPair(t *testing.T, mutate func(cfg *LiveConfig)) (*LiveNode, *LiveNod
 	}
 	a := mk("a", "")
 	b := mk("b", a.Addr())
-	a.SetPeer(b.Addr())
+	joinPair(t, a, b.Addr())
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}

@@ -37,14 +37,10 @@ func checkMembership(m *Message, curEpoch uint64) error {
 // checkEpoch rejects data-plane frames routed under an older ring layout
 // than the receiver's: a late MsgWriteFwd/MsgResync/MsgDiscard from a
 // previous epoch would otherwise land in (or drop from) a hold its sender
-// no longer owns under the current layout. Epoch 0 marks a pair-mode
-// frame and is always accepted — the pair protocol predates epochs, and
-// mixed pair/ring interop never mixes holds (pair frames use the default
-// hold). Returns the MsgError reply to send, or nil to proceed.
+// no longer owns under the current layout. A receiver that was never
+// configured (epoch 0) accepts every frame. Returns the MsgError reply to
+// send, or nil to proceed.
 func (n *LiveNode) checkEpoch(m *Message) *Message {
-	if m.Epoch == 0 {
-		return nil
-	}
 	if cur := n.epochA.Load(); m.Epoch < cur {
 		atomic.AddInt64(&n.stats.EpochRejects, 1)
 		return &Message{Type: MsgError, Err: fmt.Sprintf("stale ownership epoch %d (current %d)", m.Epoch, cur)}
@@ -52,10 +48,11 @@ func (n *LiveNode) checkEpoch(m *Message) *Message {
 	return nil
 }
 
-// RingEpoch reports the current ownership epoch (0 = pair mode / no ring).
+// RingEpoch reports the current ownership epoch (0 = never configured).
 func (n *LiveNode) RingEpoch() uint64 { return n.epochA.Load() }
 
-// RingMembers returns the current ring member list (nil in pair mode).
+// RingMembers returns the current ring member list (nil when never
+// configured).
 func (n *LiveNode) RingMembers() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -77,7 +74,7 @@ func (n *LiveNode) PeerStates() map[string]PeerState {
 // ownership epoch. members is the full member list including this node's
 // own ID (its partner listen address); a list that does NOT include this
 // node removes it from the ring (all links torn down, solo degraded). A
-// stale epoch (<= current, once a ring is active) is rejected.
+// stale epoch (<= current) is rejected.
 //
 // The change is applied as: diff the partner link set (new members get a
 // fresh link, forwarder, and lifecycle; departed members' links are
@@ -107,7 +104,7 @@ func (n *LiveNode) SetMembers(epoch uint64, members []string) error {
 		n.mu.Unlock()
 		return errNodeClosing
 	}
-	if epoch <= n.epoch && (n.ring != nil || n.epoch != 0) {
+	if epoch <= n.epoch {
 		n.mu.Unlock()
 		return fmt.Errorf("cluster: stale membership epoch %d (current %d)", epoch, n.epoch)
 	}
@@ -246,9 +243,12 @@ func (n *LiveNode) ProposeMembership(members []string) (uint64, error) {
 	if err := n.SetMembers(epoch, members); err != nil {
 		return 0, err
 	}
-	msg := &Message{Type: MsgMembership, Epoch: epoch, Members: members, Origin: n.selfID}
 	var firstErr error
 	for _, l := range n.linksSnapshot() {
+		// One message per link: the client stamps its own Seq into the
+		// message, and a timed-out call's frame may still be on its way
+		// out of the previous link's send queue.
+		msg := &Message{Type: MsgMembership, Epoch: epoch, Members: members, Origin: n.selfID}
 		resp, err := l.client.callT(msg, n.cfg.BulkTimeout)
 		if err == nil && resp.Type != MsgMembershipAck && resp.Type != MsgError {
 			err = fmt.Errorf("cluster: unexpected membership response %v", resp.Type)
@@ -267,7 +267,7 @@ func (n *LiveNode) ProposeMembership(members []string) (uint64, error) {
 // hash ring at epoch 1 with the given replication factor. Each config's
 // ListenAddr may be ":0"; member IDs are the bound addresses. The nodes
 // are returned started but not connected — call ConnectPeer (and
-// StartHeartbeat) on each, as with a pair.
+// StartHeartbeat) on each.
 func NewLiveRing(cfgs []LiveConfig, replication int) ([]*LiveNode, error) {
 	if len(cfgs) < 2 {
 		return nil, fmt.Errorf("cluster: ring needs at least 2 nodes, got %d", len(cfgs))

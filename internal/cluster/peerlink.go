@@ -16,12 +16,11 @@ var errPeerRemoved = errors.New("cluster: peer removed from ring")
 // peerLink bundles everything the node runs per cooperative partner: the
 // pipelined client, a dedicated group-commit forwarder (queue + loop), a
 // circuit breaker, a prober, a degraded-write journal, and one lifecycle
-// state machine. A pair node has exactly one link; a ring node has one
-// per fellow member. All lifecycle and journal state is guarded by the
-// NODE's mutex (n.mu) — per-link mutexes would buy little (membership
-// changes are rare, lifecycle events cheap) and a single lock keeps the
-// "journal empty → flip Healthy" race-freedom argument identical to the
-// pair code.
+// state machine, one per fellow ring member. All lifecycle and journal
+// state is guarded by the NODE's mutex (n.mu) — per-link mutexes would
+// buy little (membership changes are rare, lifecycle events cheap) and a
+// single lock keeps the "journal empty → flip Healthy" argument local to
+// one critical section.
 type peerLink struct {
 	n      *LiveNode
 	id     string // ring member ID == the partner's listen address
@@ -93,23 +92,19 @@ func (l *peerLink) noteForwardFailed() {
 }
 
 // ringState is the immutable routing snapshot hot paths read through one
-// atomic load: the ring layout (nil in pair mode), the ownership epoch,
-// this node's member ID, and the live partner links. Membership changes
-// and SetPeer publish a fresh snapshot under n.mu.
+// atomic load: the ring layout, this node's member ID, and the live
+// partner links. Membership changes publish a fresh snapshot under n.mu;
+// a node with no partner links has none.
 type ringState struct {
-	ring  *Ring // nil = pair mode: links[0] owns every block
-	epoch uint64
+	ring  *Ring
 	self  string
 	links []*peerLink
 	byID  map[string]*peerLink
 }
 
 // ownerLinks appends the links owning lpn's erase block under this
-// snapshot. Pair mode: the single link owns everything.
+// snapshot.
 func (rs *ringState) ownerLinks(out []*peerLink, lpn int64, ppb int) []*peerLink {
-	if rs.ring == nil {
-		return append(out, rs.links...)
-	}
 	block := lpn / int64(ppb)
 	if lpn < 0 && lpn%int64(ppb) != 0 {
 		block--
@@ -134,7 +129,6 @@ func (n *LiveNode) publishRSLocked() {
 	}
 	rs := &ringState{
 		ring:  n.ring,
-		epoch: n.epoch,
 		self:  n.selfID,
 		links: append([]*peerLink(nil), n.links...),
 		byID:  make(map[string]*peerLink, len(n.links)),
@@ -156,27 +150,19 @@ func (n *LiveNode) linksSnapshot() []*peerLink {
 	return rs.links
 }
 
-// linkByOrigin resolves the link a partner frame came from. Pair-mode
-// frames carry no origin; with exactly one link it is unambiguous.
+// linkByOrigin resolves the link a partner frame came from.
 func (n *LiveNode) linkByOrigin(origin string) *peerLink {
 	rs := n.rs.Load()
 	if rs == nil {
-		return nil
-	}
-	if origin == "" {
-		if len(rs.links) == 1 {
-			return rs.links[0]
-		}
 		return nil
 	}
 	return rs.byID[origin]
 }
 
 // remoteHold is one origin's backup state on the receiving side: the RCT
-// occupancy model plus the payload and stamp maps. The pair-mode default
-// hold (origin "") aliases the node's legacy remote fields; ring origins
-// get their own, created on first insert and sized by the remote-budget
-// split. All holds are guarded by n.mu.
+// occupancy model plus the payload and stamp maps, created on the
+// origin's first insert and sized by the remote-budget split. All holds
+// are guarded by n.mu.
 type remoteHold struct {
 	store *core.RemoteStore
 	data  map[int64][]byte
@@ -190,12 +176,6 @@ type remoteHold struct {
 // holdForLocked resolves the backup hold for an origin, optionally
 // creating it. Caller holds n.mu.
 func (n *LiveNode) holdForLocked(origin string, create bool) *remoteHold {
-	if origin == "" {
-		if n.defHold == nil {
-			n.defHold = &remoteHold{store: n.remote, data: n.remoteData, stamp: n.remoteStamp}
-		}
-		return n.defHold
-	}
 	if h, ok := n.remotes[origin]; ok {
 		return h
 	}
@@ -208,7 +188,7 @@ func (n *LiveNode) holdForLocked(origin string, create bool) *remoteHold {
 	// Initial share: an even split of the remote budget across the
 	// origins currently backing up here (including this new one); the
 	// rebalance loop reshapes the split by observed write intensity.
-	share := n.cfg.RemotePages / (len(n.remotes) + 1)
+	share := n.remoteBudget / (len(n.remotes) + 1)
 	if share < 1 {
 		share = 1
 	}
@@ -245,8 +225,8 @@ type fwdGroup struct {
 }
 
 // finalize materializes the group's wire slices. When the group covers
-// the whole write (the pair case, and the common ring case of a write
-// within one erase block) the caller's slices ride through zero-copy;
+// the whole write (always with one partner, and the common case of a
+// write within one erase block) the caller's slices ride through zero-copy;
 // a split write copies its pages into a contiguous buffer per group.
 func (g *fwdGroup) finalize(lpns []int64, stamps []uint64, data []byte, ps int) ([]int64, []uint64, []byte) {
 	if len(g.idxs) == len(lpns) {
@@ -266,8 +246,7 @@ func (g *fwdGroup) finalize(lpns []int64, stamps []uint64, data []byte, ps int) 
 // planForward groups a write's pages by live owner link and collects, per
 // page, the down owners whose journal must record the write-through.
 // Pages with at least one down owner force the degraded path for the
-// whole request (conservative: with one link this reduces exactly to the
-// pair behavior).
+// whole request (conservative).
 func (n *LiveNode) planForward(rs *ringState, lpns []int64) (groups []*fwdGroup, targets map[int64][]*peerLink) {
 	byLink := make(map[*peerLink]*fwdGroup, 1)
 	var owners []*peerLink
@@ -303,19 +282,11 @@ func (n *LiveNode) planForward(rs *ringState, lpns []int64) (groups []*fwdGroup,
 }
 
 // enqueueDiscardRouted fans an advisory discard out to the live owner
-// link of each page. Pair mode short-circuits to the single link; ring
-// mode groups pages per owner so every partner only hears about backups
-// it actually holds.
+// links of each page, grouped per owner so every partner only hears about
+// backups it actually holds.
 func (n *LiveNode) enqueueDiscardRouted(lpns []int64, stamps []uint64, strms []stream.Stream) {
 	rs := n.rs.Load()
 	if rs == nil {
-		return
-	}
-	if rs.ring == nil {
-		l := rs.links[0]
-		if l.alive.Load() {
-			l.enqueueDiscard(lpns, stamps, strms)
-		}
 		return
 	}
 	type group struct {

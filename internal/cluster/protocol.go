@@ -1,8 +1,9 @@
-// Package cluster implements FlashCoop's cooperative-pair networking: a
-// compact binary wire protocol, a length-framed connection type, and a live
-// TCP storage node (LiveNode) that buffers writes, forwards backups to its
-// partner, persists evicted blocks, exchanges heartbeats and workload
-// information, and recovers dirty data from the partner after a crash.
+// Package cluster implements FlashCoop's cooperative networking: a compact
+// binary wire protocol, a length-framed connection type, and a live TCP
+// storage node (LiveNode) that buffers writes, forwards backups to its
+// ring partners (a cooperative pair is a 2-member ring), persists evicted
+// blocks, exchanges heartbeats and workload information, and recovers
+// dirty data from its partners after a crash.
 //
 // The simulation experiments (internal/experiments) use the deterministic
 // in-process model from internal/core; this package is the same protocol
@@ -101,12 +102,11 @@ type Message struct {
 	// layout the frame was routed under. A receiver on a newer epoch
 	// rejects data-plane frames from an older one, so late frames routed
 	// by a previous ring layout can never land in the wrong backup hold.
-	// Zero means "pair mode / no ring" and is never rejected.
+	// Zero means the sender was never configured.
 	Epoch uint64
-	// Origin identifies the sending member (its partner listen address)
-	// on ring data-plane frames, so the receiver files backups into the
-	// per-origin hold and answers RCT fetches with exactly that origin's
-	// pages. Empty means the pair-mode default hold.
+	// Origin identifies the sending member (its ring member ID) on
+	// data-plane frames, so the receiver files backups into the per-origin
+	// hold and answers RCT fetches with exactly that origin's pages.
 	Origin string
 	// Members carries the ring member list on MsgMembership frames.
 	Members []string

@@ -31,29 +31,40 @@ func (n *LiveNode) localInfo() Info {
 
 // RebalanceOnce runs one dynamic-allocation round.
 //
-// Pair mode: exchange workload information with the partner, evaluate
-// Equation 1, and resize the local buffer / remote store partition over
-// the pooled memory; returns the effective θ.
+// With exactly one partner link (the paper's pair): exchange workload
+// information with the partner, evaluate Equation 1, and resize the local
+// buffer / remote-page budget partition over the pooled memory; returns
+// the effective θ. With more links the local/remote split stays fixed —
+// an N-way θ negotiation would need global agreement — and 0 is returned.
 //
-// Ring mode: the remote-page budget is split ACROSS the per-origin holds
-// proportional to each origin's observed write intensity (backup pages
-// inserted since the last round), with a floor so an idle partner keeps a
-// warm minimum. The local/remote split itself stays fixed — an N-way
-// θ negotiation would need global agreement; the per-origin split is the
-// Equation 1 idea applied where this node has sole authority. Returns 0.
+// Either way the remote-page budget is then split ACROSS the per-origin
+// holds proportional to each origin's observed write intensity (backup
+// pages inserted since the last round), with a floor so an idle partner
+// keeps a warm minimum: the Equation 1 idea applied where this node has
+// sole authority.
 func (n *LiveNode) RebalanceOnce() (float64, error) {
-	rs := n.rs.Load()
-	if rs == nil {
+	links := n.linksSnapshot()
+	if len(links) == 0 {
 		return 0, errNoPeer
 	}
-	if rs.ring != nil {
-		n.rebalanceHolds()
-		atomic.AddInt64(&n.stats.Rebalances, 1)
-		return 0, nil
+	var theta float64
+	if len(links) == 1 {
+		var err error
+		if theta, err = n.exchangeTheta(links[0]); err != nil {
+			return 0, err
+		}
 	}
-	local := n.localInfo()
+	n.rebalanceHolds()
+	atomic.AddInt64(&n.stats.Rebalances, 1)
+	return theta, nil
+}
 
-	resp, err := rs.links[0].client.call(&Message{Type: MsgWorkloadInfo, Info: local})
+// exchangeTheta swaps workload information with the single partner,
+// evaluates Equation 1, and repartitions the pooled memory: θ of it
+// becomes the remote-page budget, the rest the local buffer.
+func (n *LiveNode) exchangeTheta(l *peerLink) (float64, error) {
+	local := n.localInfo()
+	resp, err := l.client.call(&Message{Type: MsgWorkloadInfo, Info: local})
 	if err != nil {
 		return 0, err
 	}
@@ -75,8 +86,7 @@ func (n *LiveNode) RebalanceOnce() (float64, error) {
 	remotePages := int(theta * float64(total))
 	localPages := total - remotePages
 	n.mu.Lock()
-	n.remote.Resize(remotePages)
-	n.gcRemoteDataLocked()
+	n.remoteBudget = remotePages
 	n.mu.Unlock()
 	// Shrinking the buffer evicts dirty blocks; they go through the normal
 	// flush pipeline (pinned readable until their shard's evictor persists
@@ -91,7 +101,6 @@ func (n *LiveNode) RebalanceOnce() (float64, error) {
 		n.buf.UnlockShard(si)
 		n.enqueueFlush(si, jobs)
 	}
-	atomic.AddInt64(&n.stats.Rebalances, 1)
 	return theta, nil
 }
 
@@ -103,7 +112,7 @@ func (n *LiveNode) rebalanceHolds() {
 	if len(n.remotes) == 0 {
 		return
 	}
-	budget := n.cfg.RemotePages
+	budget := n.remoteBudget
 	if budget < len(n.remotes) {
 		budget = len(n.remotes)
 	}

@@ -25,11 +25,14 @@ func TestLiveRebalanceRespondsToWriteIntensity(t *testing.T) {
 	if a.Stats().Rebalances != 1 {
 		t.Fatalf("Rebalances = %d", a.Stats().Rebalances)
 	}
-	// Remote store grew toward θ·total.
+	// The remote budget — here all of it b's hold — grew toward θ·total.
 	total := a.cfg.BufferPages + a.cfg.RemotePages
 	wantRemote := int(thetaHot * float64(total))
-	if a.Remote().Capacity() != wantRemote {
-		t.Fatalf("remote capacity = %d, want %d", a.Remote().Capacity(), wantRemote)
+	a.mu.Lock()
+	budget, hold := a.remoteBudget, a.holdForLocked(b.Addr(), false)
+	a.mu.Unlock()
+	if budget != wantRemote || hold == nil || hold.store.Capacity() != wantRemote {
+		t.Fatalf("remote budget = %d, hold for b = %v, want capacity %d", budget, hold != nil, wantRemote)
 	}
 	if a.Buffer().Capacity() != total-wantRemote {
 		t.Fatalf("local capacity = %d", a.Buffer().Capacity())

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"flashcoop/internal/core"
 	"flashcoop/internal/ssd"
 	"flashcoop/internal/stream"
 )
@@ -18,16 +17,23 @@ func bareNode(t *testing.T) *LiveNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &LiveNode{
-		dev:         dev,
-		pageSize:    dev.PageSize(),
-		remote:      core.NewRemoteStore(128),
-		remoteData:  make(map[int64][]byte),
-		remoteStamp: make(map[int64]uint64),
-	}
+	n := &LiveNode{dev: dev, pageSize: dev.PageSize(), remoteBudget: 128}
 	ps := dev.PageSize()
 	n.pagePool.New = func() any { return make([]byte, ps) }
 	return n
+}
+
+// testOrigin is the sending member the bare-node tests forward from.
+const testOrigin = "peer:7001"
+
+// heldBackup returns the payload and stamp n holds for testOrigin's lpn.
+func heldBackup(n *LiveNode, lpn int64) ([]byte, uint64, bool) {
+	h := n.remotes[testOrigin]
+	if h == nil {
+		return nil, 0, false
+	}
+	pg, ok := h.data[lpn]
+	return pg, h.stamp[lpn], ok
 }
 
 // overWire pushes a message through the v2 encoder and the version-sniffing
@@ -87,11 +93,12 @@ func TestTaggedDiscardReorder(t *testing.T) {
 				write := &Message{
 					Type: MsgWriteFwd, Seq: 1,
 					LPNs: []int64{lpn}, Stamps: []uint64{tc.writeStamp},
-					Data: payload,
+					Data: payload, Origin: testOrigin,
 				}
 				discard := &Message{
 					Type: MsgDiscard, Seq: 2,
 					LPNs: []int64{lpn}, Stamps: []uint64{tc.discardStamp},
+					Origin: testOrigin,
 				}
 				if tc.tagged {
 					discard.Streams = []stream.Stream{stream.Cold}
@@ -117,15 +124,15 @@ func TestTaggedDiscardReorder(t *testing.T) {
 					}
 				}
 
-				_, haveData := n.remoteData[lpn]
+				pg, st, haveData := heldBackup(n, lpn)
 				if haveData != ord.want {
 					t.Fatalf("%s: backup present = %v, want %v", ord.name, haveData, ord.want)
 				}
 				if ord.want {
-					if st := n.remoteStamp[lpn]; st != tc.writeStamp {
+					if st != tc.writeStamp {
 						t.Fatalf("%s: surviving stamp %d, want %d", ord.name, st, tc.writeStamp)
 					}
-					if !bytes.Equal(n.remoteData[lpn], payload) {
+					if !bytes.Equal(pg, payload) {
 						t.Fatalf("%s: surviving backup payload corrupted", ord.name)
 					}
 				}
@@ -147,14 +154,15 @@ func TestTaggedDiscardMatchesUntagged(t *testing.T) {
 			Type: MsgWriteFwd, Seq: 1, LPNs: lpns,
 			Stamps: []uint64{10, 2, 7, 5},
 			Data:   bytes.Repeat([]byte{0x33}, len(lpns)*ps),
+			Origin: testOrigin,
 		}); resp.Type == MsgError {
 			t.Fatalf("load: %s", resp.Err)
 		}
 		return n
 	}
-	discard := &Message{Type: MsgDiscard, Seq: 2, LPNs: lpns, Stamps: []uint64{5, 5, 7, 9}}
+	discard := &Message{Type: MsgDiscard, Seq: 2, LPNs: lpns, Stamps: []uint64{5, 5, 7, 9}, Origin: testOrigin}
 	tagged := &Message{
-		Type: MsgDiscard, Seq: 2, LPNs: lpns, Stamps: []uint64{5, 5, 7, 9},
+		Type: MsgDiscard, Seq: 2, LPNs: lpns, Stamps: []uint64{5, 5, 7, 9}, Origin: testOrigin,
 		Streams:  []stream.Stream{stream.Hot, stream.Warm, stream.Cold, stream.Seq},
 		Pressure: 0.9,
 	}
@@ -163,22 +171,22 @@ func TestTaggedDiscardMatchesUntagged(t *testing.T) {
 	strm.handle(overWire(t, tagged))
 
 	for _, lpn := range lpns {
-		_, pHave := plain.remoteData[lpn]
-		_, sHave := strm.remoteData[lpn]
+		_, pStamp, pHave := heldBackup(plain, lpn)
+		_, sStamp, sHave := heldBackup(strm, lpn)
 		if pHave != sHave {
 			t.Errorf("lpn %d: untagged kept=%v, tagged kept=%v — tags changed the outcome", lpn, pHave, sHave)
 		}
-		if plain.remoteStamp[lpn] != strm.remoteStamp[lpn] {
-			t.Errorf("lpn %d: stamp divergence untagged=%d tagged=%d", lpn, plain.remoteStamp[lpn], strm.remoteStamp[lpn])
+		if pStamp != sStamp {
+			t.Errorf("lpn %d: stamp divergence untagged=%d tagged=%d", lpn, pStamp, sStamp)
 		}
 	}
 	// And the expected concrete outcome: stamps 10 and 7 beat or miss the
 	// discard (10>5 survives, 7==7 drops), 2<=5 and 5<=9 drop.
-	if _, ok := plain.remoteData[3]; !ok {
+	if _, _, ok := heldBackup(plain, 3); !ok {
 		t.Error("lpn 3 (stamp 10 > discard 5) should have survived")
 	}
 	for _, lpn := range []int64{4, 5, 6} {
-		if _, ok := plain.remoteData[lpn]; ok {
+		if _, _, ok := heldBackup(plain, lpn); ok {
 			t.Errorf("lpn %d should have been discarded", lpn)
 		}
 	}

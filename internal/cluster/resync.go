@@ -251,11 +251,7 @@ func (l *peerLink) pushJournal() {
 func (l *peerLink) sendJournalPass(ps int) error {
 	n := l.n
 	lpns, stamps, data := l.takeJournal(ps)
-	var origin string
-	var epoch uint64
-	if rs := n.rs.Load(); rs != nil && rs.ring != nil {
-		origin, epoch = rs.self, rs.epoch
-	}
+	epoch := n.epochA.Load()
 	for off := 0; off < len(lpns); off += n.cfg.MaxBatchPages {
 		end := off + n.cfg.MaxBatchPages
 		if end > len(lpns) {
@@ -275,7 +271,7 @@ func (l *peerLink) sendJournalPass(ps int) error {
 			LPNs:   lpns[off:end],
 			Stamps: stamps[off:end],
 			Data:   data[off*ps : end*ps],
-			Origin: origin,
+			Origin: n.selfID,
 			Epoch:  epoch,
 		}
 		resp, err := l.client.callT(msg, n.cfg.BulkTimeout)

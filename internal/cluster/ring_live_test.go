@@ -102,12 +102,6 @@ func TestLiveRingBasic(t *testing.T) {
 			}
 		}
 	}
-	// No node should hold a pair-mode (default-origin) backup.
-	for _, m := range nodes {
-		if len(m.SnapshotRemote()) != 0 {
-			t.Fatalf("node %s has default-hold backups in ring mode", m.cfg.Name)
-		}
-	}
 }
 
 // TestLiveRingReplicationTwo: with replication 2 every written block must
@@ -177,6 +171,43 @@ func TestLiveRingStaleEpochRejected(t *testing.T) {
 		if len(m.SnapshotRemoteFor(removed.Addr())) != 0 {
 			t.Fatalf("stale-epoch backup landed on %s", m.cfg.Name)
 		}
+	}
+}
+
+// TestEpochFence: a configured member (epoch >= 1) rejects data-plane
+// frames carrying epoch 0 — counting each and leaving its holds untouched
+// — while a node that was never configured (epoch 0, a passive backup)
+// accepts a member's epoch-1 frames and files them under their origin.
+func TestEpochFence(t *testing.T) {
+	n := bareNode(t)
+	ps := n.pageSize
+	fwd := &Message{Type: MsgWriteFwd, Seq: 1, LPNs: []int64{7}, Stamps: []uint64{3},
+		Data: page(0x11, ps), Origin: testOrigin, Epoch: 1}
+	if resp := n.handle(overWire(t, fwd)); resp.Type != MsgWriteAck {
+		t.Fatalf("unconfigured node answered an epoch-1 forward with %v %q", resp.Type, resp.Err)
+	}
+	if pg, st, ok := heldBackup(n, 7); !ok || st != 3 || !bytes.Equal(pg, page(0x11, ps)) {
+		t.Fatalf("epoch-1 forward not filed under its origin: ok=%v stamp=%d", ok, st)
+	}
+
+	n.epochA.Store(1)
+	for _, m := range []*Message{
+		{Type: MsgWriteFwd, Seq: 2, LPNs: []int64{7}, Stamps: []uint64{9}, Data: page(0x22, ps), Origin: testOrigin},
+		{Type: MsgResync, Seq: 3, LPNs: []int64{8}, Stamps: []uint64{9}, Data: page(0x22, ps), Origin: testOrigin},
+		{Type: MsgDiscard, Seq: 4, LPNs: []int64{7}, Stamps: []uint64{9}, Origin: testOrigin},
+	} {
+		if resp := n.handle(overWire(t, m)); resp.Type != MsgError {
+			t.Fatalf("epoch-0 %v accepted by an epoch-1 member: %v", m.Type, resp.Type)
+		}
+	}
+	if got := n.Stats().EpochRejects; got != 3 {
+		t.Fatalf("EpochRejects = %d, want 3", got)
+	}
+	if pg, st, ok := heldBackup(n, 7); !ok || st != 3 || !bytes.Equal(pg, page(0x11, ps)) {
+		t.Fatalf("rejected frames changed the hold: ok=%v stamp=%d", ok, st)
+	}
+	if _, _, ok := heldBackup(n, 8); ok {
+		t.Fatal("rejected resync landed in the hold")
 	}
 }
 

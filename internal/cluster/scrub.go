@@ -191,10 +191,6 @@ func (n *LiveNode) repairPages(lpns []int64) {
 	if len(links) == 0 {
 		return
 	}
-	origin := ""
-	if rs := n.rs.Load(); rs != nil && rs.ring != nil {
-		origin = rs.self
-	}
 	ps := n.pageSize
 	type cand struct {
 		stamp uint64
@@ -206,7 +202,7 @@ func (n *LiveNode) repairPages(lpns []int64) {
 		if !l.alive.Load() {
 			continue
 		}
-		resp, err := l.client.callT(&Message{Type: MsgRepair, LPNs: lpns, Origin: origin}, n.cfg.BulkTimeout)
+		resp, err := l.client.callT(&Message{Type: MsgRepair, LPNs: lpns, Origin: n.selfID}, n.cfg.BulkTimeout)
 		if err != nil || resp.Type != MsgRepairResp {
 			continue
 		}

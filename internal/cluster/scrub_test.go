@@ -83,7 +83,7 @@ func TestLiveScrubRepairFromPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close(); b.Close() })
-	a.SetPeer(b.Addr())
+	joinPair(t, a, b.Addr())
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +140,9 @@ func TestLiveScrubRepairFromPeer(t *testing.T) {
 func TestRecoveryRepairsCorruptSkipsStale(t *testing.T) {
 	dir := t.TempDir()
 	const lpnX, lpnY = int64(5), int64(6)
-	mk := func(name, peer string) *LiveNode {
+	mk := func(name, listen, peer string) *LiveNode {
 		cfg := LiveConfig{
-			Name: name, ListenAddr: "127.0.0.1:0",
+			Name: name, ListenAddr: listen,
 			BufferPages: 32, RemotePages: 32, SSD: liveSSD(),
 			DataDir: dir, Shards: 1,
 			CallTimeout: 500 * time.Millisecond,
@@ -160,7 +160,7 @@ func TestRecoveryRepairsCorruptSkipsStale(t *testing.T) {
 
 	// Life before the crash: a standalone node writes X then Y (degraded
 	// write-through — no peer), so both are durable with ascending stamps.
-	a1 := mk("a1", "")
+	a1 := mk("a1", "127.0.0.1:0", "")
 	ps := a1.Device().PageSize()
 	if err := a1.Write(lpnX, page(0x11, ps)); err != nil {
 		t.Fatal(err)
@@ -182,17 +182,19 @@ func TestRecoveryRepairsCorruptSkipsStale(t *testing.T) {
 
 	// The holder: an equal-stamp copy of X (the only intact version left)
 	// and a STALE copy of Y that a blind recovery would roll back to.
-	b := mk("b", "")
+	b := mk("b", "127.0.0.1:0", "")
 	defer b.Close()
 	if resp := b.handle(&Message{Type: MsgWriteFwd, Seq: 1,
 		LPNs:   []int64{lpnX, lpnY},
 		Stamps: []uint64{stX, stY - 1},
-		Data:   append(page(0x33, ps), page(0x44, ps)...)}); resp.Type != MsgWriteAck {
+		Data:   append(page(0x33, ps), page(0x44, ps)...),
+		Origin: a1.Addr()}); resp.Type != MsgWriteAck {
 		t.Fatalf("hold seeding answered %v", resp.Type)
 	}
 
-	// The restarted node notices X's rot at open, then recovers from b.
-	a2 := mk("a2", b.Addr())
+	// The restarted node — back on a1's address, the member ID b filed
+	// the hold under — notices X's rot at open, then recovers from b.
+	a2 := mk("a2", a1.Addr(), b.Addr())
 	defer a2.Close()
 	if a2.Stats().CorruptSlots < 1 {
 		t.Fatalf("open-time scan missed the rotted record: %+v", a2.Stats())

@@ -33,7 +33,7 @@ func shardedPair(t *testing.T, shards, bufPages int) (*LiveNode, *LiveNode) {
 		a.Close()
 		t.Fatal(err)
 	}
-	a.SetPeer(b.Addr())
+	joinPair(t, a, b.Addr())
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func victimPair(t *testing.T) (*LiveNode, *LiveNode) {
 		a.Close()
 		t.Fatal(err)
 	}
-	a.SetPeer(b.Addr())
+	joinPair(t, a, b.Addr())
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestVictimMirrorFileWritten(t *testing.T) {
 		a.Close()
 		t.Fatal(err)
 	}
-	a.SetPeer(b.Addr())
+	joinPair(t, a, b.Addr())
 	if err := a.ConnectPeer(); err != nil {
 		t.Fatal(err)
 	}

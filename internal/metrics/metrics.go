@@ -255,7 +255,9 @@ const latencyBase = 1.09
 func (h *LatencyHist) Add(v float64) {
 	idx := 0
 	if v > 0 {
-		idx = int(math.Log(v)/math.Log(latencyBase)) + 512
+		// Floor, not truncation toward zero: a sample in (1/base, 1)
+		// belongs to the bucket whose upper bound is 1, not base.
+		idx = int(math.Floor(math.Log(v)/math.Log(latencyBase))) + 512
 		if idx < 0 {
 			idx = 0
 		}

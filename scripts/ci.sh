@@ -22,10 +22,13 @@ go test -cover ./...
 # (shards > 1) rather than relying on the suite's default.
 CHAOS_SHARDS=4 go test -race ./internal/experiments/... ./internal/cluster/...
 
-# Multicore chaos: the checker suite three times on two Ps, uncached
-# (-count), so a race that only shows when the wire taps of a request and
-# its reply run on different cores cannot hide behind the test cache.
-GOMAXPROCS=2 go test -count=3 ./internal/cluster/check/
+# Multicore chaos: the checker suite once per P count, uncached (-count),
+# so a race that only shows when the wire taps of a request and its reply
+# run on different cores — or only on one — cannot hide behind the test
+# cache or the host's core count.
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=1 ./internal/cluster/check/
+done
 
 # Link-flap smoke: three asymmetric partition/heal cycles against a live
 # pair with writers running, durability-checked after every heal, under
