@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -153,30 +152,25 @@ func runDiskChaos(t *testing.T, seed int64) {
 	// --- Phase 0: writers hammer A while its store takes real I/O.
 	tr := NewTracker()
 	ps := a.Device().PageSize()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < diskChaosWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lpn := int64(w) + diskChaosWriters*rng.Int63n(chaosLPNSpace/diskChaosWriters)
-				data := make([]byte, ps)
-				rng.Read(data)
-				id := tr.Attempt(lpn, data)
-				if err := a.Write(lpn, data); err == nil {
-					tr.Acked(lpn, id)
-				}
-				time.Sleep(time.Millisecond)
+	stopWriters := startWriters(diskChaosWriters, func(w int, done <-chan struct{}) {
+		rng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}(w)
-	}
+			lpn := int64(w) + diskChaosWriters*rng.Int63n(chaosLPNSpace/diskChaosWriters)
+			data := make([]byte, ps)
+			rng.Read(data)
+			id := tr.Attempt(lpn, data)
+			if err := a.Write(lpn, data); err == nil {
+				tr.Acked(lpn, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	defer stopWriters()
 	waitFor("warmup writes", func() bool { return tr.Ops() >= chaosMinOps })
 	waitFor("evictions reaching the store", func() bool { return a.Stats().Persists >= 1 })
 
@@ -200,8 +194,7 @@ func runDiskChaos(t *testing.T, seed int64) {
 	case <-time.After(15 * time.Second):
 		t.Fatalf("seed %d: crash-at-step hook never fired", seed)
 	}
-	close(done)
-	wg.Wait()
+	stopWriters()
 
 	// On top of whatever the seeded crash tore, deterministically rot a
 	// few durable records whose pages B still backs — every seed then

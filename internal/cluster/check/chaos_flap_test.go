@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 
@@ -68,10 +67,11 @@ func TestChaosLinkFlap(t *testing.T) {
 	joinPair(t, c.b, c.addrA)
 	c.calmly("initial hello", c.a.ConnectPeer)
 	c.a.StartHeartbeat()
-	defer func() {
+	closeNodes := func() {
 		c.a.Close()
 		c.b.Close()
-	}()
+	}
+	defer closeNodes()
 
 	c.netA.SetFaults(c.faults)
 	c.netB.SetFaults(c.faults)
@@ -81,33 +81,28 @@ func TestChaosLinkFlap(t *testing.T) {
 	// ErrOverloaded is an unacked attempt like any other failure.
 	tr := NewTracker()
 	ps := c.a.Device().PageSize()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < chaosWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lpn := int64(w) + chaosWriters*rng.Int63n(chaosLPNSpace/chaosWriters)
-				data := make([]byte, ps)
-				rng.Read(data)
-				id := tr.Attempt(lpn, data)
-				c.mu.RLock()
-				err := c.a.Write(lpn, data)
-				c.mu.RUnlock()
-				if err == nil {
-					tr.Acked(lpn, id)
-				}
-				time.Sleep(time.Millisecond)
+	stopWriters := startWriters(chaosWriters, func(w int, done <-chan struct{}) {
+		rng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}(w)
-	}
+			lpn := int64(w) + chaosWriters*rng.Int63n(chaosLPNSpace/chaosWriters)
+			data := make([]byte, ps)
+			rng.Read(data)
+			id := tr.Attempt(lpn, data)
+			c.mu.RLock()
+			err := c.a.Write(lpn, data)
+			c.mu.RUnlock()
+			if err == nil {
+				tr.Acked(lpn, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	defer stopWriters()
 
 	c.waitFor("warmup writes", func() bool { return tr.Ops() >= 100 })
 
@@ -131,13 +126,10 @@ func TestChaosLinkFlap(t *testing.T) {
 
 		// Quiesce the writers (they hold RLock per op) and verify the
 		// invariants hold after this heal.
-		c.mu.Lock()
-		c.checkInvariants(tr, fmt.Sprintf("after heal %d", cycle))
-		c.mu.Unlock()
+		c.quiesced(func() { c.checkInvariants(tr, fmt.Sprintf("after heal %d", cycle)) })
 	}
 
-	close(done)
-	wg.Wait()
+	stopWriters()
 	c.checkInvariants(tr, "final state")
 
 	// Read-back: every acked page serves a tracked value (no lost acked
@@ -151,6 +143,10 @@ func TestChaosLinkFlap(t *testing.T) {
 			t.Errorf("final read of lpn %d returned an untracked value; reproduce with CHAOS_SEED=%d", lpn, seed)
 		}
 	}
+	// Close the nodes first: a response can be tapped before the write
+	// that carried its request has finished tapping, so a parked response
+	// is only conclusive once no connection is left mid-write.
+	closeNodes()
 	for _, v := range tap.Violations() {
 		t.Errorf("wire: %s (reproduce with CHAOS_SEED=%d)", v, seed)
 	}

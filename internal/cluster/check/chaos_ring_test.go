@@ -264,13 +264,14 @@ func runChurn(t *testing.T, seed int64) {
 		c.addrs[s] = c.nodes[s].Addr()
 		c.inRing[s] = s < 3
 	}
-	defer func() {
+	closeNodes := func() {
 		for _, n := range c.nodes {
 			if n != nil {
 				n.Close()
 			}
 		}
-	}()
+	}
+	defer closeNodes()
 	for s := 0; s < 3; s++ {
 		if err := c.nodes[s].SetMembers(1, c.layoutMembers()); err != nil {
 			t.Fatal(err)
@@ -289,37 +290,34 @@ func runChurn(t *testing.T, seed int64) {
 	// Tracker's last-acked judgment sound (see chaos_test.go).
 	tr := NewTracker()
 	ps := c.nodes[0].Device().PageSize()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < chaosWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wrng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lpn := int64(w) + chaosWriters*wrng.Int63n(chaosLPNSpace/chaosWriters)
-				data := make([]byte, ps)
-				wrng.Read(data)
-				id := tr.Attempt(lpn, data)
-				c.mu.RLock()
-				err := c.nodes[0].Write(lpn, data)
-				c.mu.RUnlock()
-				if err == nil {
-					tr.Acked(lpn, id)
-				}
-				time.Sleep(time.Millisecond)
+	stopWriters := startWriters(chaosWriters, func(w int, done <-chan struct{}) {
+		wrng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}(w)
-	}
+			lpn := int64(w) + chaosWriters*wrng.Int63n(chaosLPNSpace/chaosWriters)
+			data := make([]byte, ps)
+			wrng.Read(data)
+			id := tr.Attempt(lpn, data)
+			c.mu.RLock()
+			err := c.nodes[0].Write(lpn, data)
+			c.mu.RUnlock()
+			if err == nil {
+				tr.Acked(lpn, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	defer stopWriters()
+	// quiesced checks the invariants with the writers paused; the lock is
+	// released even when the check fails the test (see startWriters).
 	quiesced := func(stage string) {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		c.checkInvariants(tr, stage)
-		c.mu.Unlock()
 	}
 
 	// --- Phase 0: warm up with ring replication traffic.
@@ -379,23 +377,24 @@ func runChurn(t *testing.T, seed int64) {
 	// is lost; the replacement reopens the same page store and recovers
 	// the lost pages from every surviving holder's per-origin hold, newest
 	// stamp winning across holders.
-	c.mu.Lock()
-	c.nodes[0].Crash()
-	p2 := c.startNode(0, c.dir0)
-	if err := p2.SetMembers(c.epoch, c.layoutMembers()); err != nil {
-		c.t.Fatalf("seed %d: replacement primary rejected layout: %v", c.seed, err)
-	}
-	c.calmly("post-crash hello", p2.ConnectPeer)
-	c.calmly("recover from ring", p2.RecoverFromPeer)
-	p2.StartHeartbeat()
-	c.nodes[0] = p2
-	c.checkInvariants(tr, "after primary crash+recovery")
-	c.mu.Unlock()
+	func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.nodes[0].Crash()
+		p2 := c.startNode(0, c.dir0)
+		if err := p2.SetMembers(c.epoch, c.layoutMembers()); err != nil {
+			c.t.Fatalf("seed %d: replacement primary rejected layout: %v", c.seed, err)
+		}
+		c.calmly("post-crash hello", p2.ConnectPeer)
+		c.calmly("recover from ring", p2.RecoverFromPeer)
+		p2.StartHeartbeat()
+		c.nodes[0] = p2
+		c.checkInvariants(tr, "after primary crash+recovery")
+	}()
 
 	// --- Wind down and verify.
 	time.Sleep(150 * time.Millisecond)
-	close(done)
-	wg.Wait()
+	stopWriters()
 
 	quiesced("final state")
 
@@ -409,6 +408,10 @@ func runChurn(t *testing.T, seed int64) {
 			t.Errorf("final read of lpn %d returned an untracked value; reproduce with CHAOS_SEED=%d", lpn, seed)
 		}
 	}
+	// Close the nodes first: a response can be tapped before the write
+	// that carried its request has finished tapping, so a parked response
+	// is only conclusive once no connection is left mid-write.
+	closeNodes()
 	for s, tap := range taps {
 		for _, v := range tap.Violations() {
 			t.Errorf("wire (net R%d): %s (reproduce with CHAOS_SEED=%d)", s, v, seed)

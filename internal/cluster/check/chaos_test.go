@@ -209,6 +209,38 @@ func (c *chaosPair) checkInvariants(tr *Tracker, stage string) {
 
 // restartB replaces a crashed B with a fresh node on the same address and
 // waits for A's heartbeat to revive the partnership.
+// quiesced runs f with the writers paused (they hold c.mu's read lock
+// around each op). The lock is released on the way out even when f fails
+// the test, so the deferred writer shutdown cannot deadlock on it.
+func (c *chaosPair) quiesced(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f()
+}
+
+// startWriters runs n writer goroutines, each calling body(w, done) and
+// returning when done closes. The returned stop closes done and waits for
+// every writer; it is idempotent, so a harness defers it at once and also
+// calls it where its script winds down. A t.Fatal mid-script then still
+// stops the writers before the deferred node shutdown runs, instead of
+// leaving them writing into closed nodes — their ever-growing Tracker
+// attempts would exhaust memory under the next test.
+func startWriters(n int, body func(w int, done <-chan struct{})) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			body(w, done)
+		}(w)
+	}
+	return sync.OnceFunc(func() {
+		close(done)
+		wg.Wait()
+	})
+}
+
 func (c *chaosPair) restartB() {
 	c.b = startNode(c.t, c.seed, c.nodeConfig("B", c.addrB, c.t.TempDir(), c.netB))
 	joinPair(c.t, c.b, c.addrA)
@@ -259,10 +291,11 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 	joinPair(t, c.b, c.addrA)
 	c.calmly("initial hello", c.a.ConnectPeer)
 	c.a.StartHeartbeat()
-	defer func() {
+	closeNodes := func() {
 		c.a.Close()
 		c.b.Close()
-	}()
+	}
+	defer closeNodes()
 
 	c.netA.SetFaults(faults)
 	c.netB.SetFaults(faults)
@@ -272,33 +305,28 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 	// when the checkers compare copies against the history.
 	tr := NewTracker()
 	ps := c.a.Device().PageSize()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < chaosWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lpn := int64(w) + chaosWriters*rng.Int63n(chaosLPNSpace/chaosWriters)
-				data := make([]byte, ps)
-				rng.Read(data)
-				id := tr.Attempt(lpn, data)
-				c.mu.RLock()
-				err := c.a.Write(lpn, data)
-				c.mu.RUnlock()
-				if err == nil {
-					tr.Acked(lpn, id)
-				}
-				time.Sleep(time.Millisecond)
+	stopWriters := startWriters(chaosWriters, func(w int, done <-chan struct{}) {
+		rng := rand.New(rand.NewSource(seed + int64(w)*0x9E3779B9))
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-		}(w)
-	}
+			lpn := int64(w) + chaosWriters*rng.Int63n(chaosLPNSpace/chaosWriters)
+			data := make([]byte, ps)
+			rng.Read(data)
+			id := tr.Attempt(lpn, data)
+			c.mu.RLock()
+			err := c.a.Write(lpn, data)
+			c.mu.RUnlock()
+			if err == nil {
+				tr.Acked(lpn, id)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	defer stopWriters()
 
 	// --- Phase 0: warm up with live replication traffic.
 	c.waitFor("warmup writes", func() bool { return tr.Ops() >= chaosMinOps+50 })
@@ -339,15 +367,15 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 	// a replacement reopens the same page store and recovers the lost
 	// dirty pages from B's RCT. Acked writes must all survive the swap.
 	c.a.Crash()
-	c.mu.Lock()
-	a2 := startNode(t, seed, c.nodeConfig("A", c.addrA, c.dirA, c.netA))
-	joinPair(t, a2, c.addrB)
-	c.calmly("post-crash hello", a2.ConnectPeer)
-	c.calmly("recover from peer", a2.RecoverFromPeer)
-	a2.StartHeartbeat()
-	c.a = a2
-	c.checkInvariants(tr, "after primary crash+recovery")
-	c.mu.Unlock()
+	c.quiesced(func() {
+		a2 := startNode(t, seed, c.nodeConfig("A", c.addrA, c.dirA, c.netA))
+		joinPair(t, a2, c.addrB)
+		c.calmly("post-crash hello", a2.ConnectPeer)
+		c.calmly("recover from peer", a2.RecoverFromPeer)
+		a2.StartHeartbeat()
+		c.a = a2
+		c.checkInvariants(tr, "after primary crash+recovery")
+	})
 
 	// --- Phase 4: second backup failure, this time a straight kill, so
 	// both crash styles (mid-schedule hook and external) are exercised.
@@ -359,8 +387,7 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 
 	// --- Wind down and verify.
 	time.Sleep(150 * time.Millisecond)
-	close(done)
-	wg.Wait()
+	stopWriters()
 
 	c.checkInvariants(tr, "final state")
 
@@ -376,6 +403,10 @@ func runChaosOver(t *testing.T, seed int64, faults faultnet.Faults, tap *SeqChec
 	}
 
 	if tap != nil {
+		// Close the nodes first: a response can be tapped before the write
+		// that carried its request has finished tapping, so a parked response
+		// is only conclusive once no connection is left mid-write.
+		closeNodes()
 		for _, v := range tap.Violations() {
 			t.Errorf("wire: %s (reproduce with CHAOS_SEED=%d)", v, seed)
 		}

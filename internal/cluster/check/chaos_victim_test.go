@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -129,15 +128,10 @@ func runVictimChaos(t *testing.T, seed int64) {
 	// admissions flowing AND at least one read served from the log (the
 	// probe reader sweeps the space; misses fall through harmlessly).
 	tr := NewTracker()
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < victimChaosWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			victimChurn(t, a, tr, w, rand.New(rand.NewSource(seed+int64(w)*0x9E3779B9)), done)
-		}(w)
-	}
+	stopWriters := startWriters(victimChaosWriters, func(w int, done <-chan struct{}) {
+		victimChurn(t, a, tr, w, rand.New(rand.NewSource(seed+int64(w)*0x9E3779B9)), done)
+	})
+	defer stopWriters()
 	waitFor("warmup writes", func() bool { return tr.Ops() >= chaosMinOps })
 	waitFor("victim admissions", func() bool { return a.Stats().VictimAdmits >= 8 })
 	var probe int64
@@ -164,8 +158,7 @@ func runVictimChaos(t *testing.T, seed int64) {
 	case <-time.After(15 * time.Second):
 		t.Fatalf("seed %d: crash-at-step hook never fired", seed)
 	}
-	close(done)
-	wg.Wait()
+	stopWriters()
 	preCrash := a.Stats()
 
 	// --- Phase 2: restart over the damaged directory with the tier still
@@ -216,18 +209,12 @@ func runVictimChaos(t *testing.T, seed int64) {
 
 	// --- Phase 3: the tier must come back to life — fresh churn earns
 	// fresh admissions, proving the crash cost cache contents only.
-	done2 := make(chan struct{})
-	var wg2 sync.WaitGroup
-	for w := 0; w < victimChaosWriters; w++ {
-		wg2.Add(1)
-		go func(w int) {
-			defer wg2.Done()
-			victimChurn(t, a2, tr, w, rand.New(rand.NewSource(seed+0x5bd1e995+int64(w))), done2)
-		}(w)
-	}
+	stopChurn := startWriters(victimChaosWriters, func(w int, done <-chan struct{}) {
+		victimChurn(t, a2, tr, w, rand.New(rand.NewSource(seed+0x5bd1e995+int64(w))), done)
+	})
+	defer stopChurn()
 	waitFor("post-restart victim admissions", func() bool { return a2.Stats().VictimAdmits >= 8 })
-	close(done2)
-	wg2.Wait()
+	stopChurn()
 
 	st := a2.Stats()
 	t.Logf("ops=%d acked_pages=%d pre_crash_admits=%d pre_crash_hits=%d post_admits=%d repaired=%d store_steps=%d",

@@ -30,12 +30,66 @@ type fwdEntry struct {
 
 func (e fwdEntry) isDiscard() bool { return e.data == nil }
 
+// fwdFrame is one forward frame: the queued entries it carries, the wire
+// message and payload gather list built from them, and the pipeline call
+// that sends it. A link recycles its frames through a free list once they
+// are acked (see newFrame), so steady-state forwarding allocates no
+// message, call, channel or slice per frame.
+type fwdFrame struct {
+	batch  []fwdEntry
+	pages  int
+	msg    Message
+	lpns   []int64 // msg.LPNs of a multi-entry frame
+	stamps []uint64
+	strms  []stream.Stream
+	chunks [][]byte
+	pc     peerCall
+	t0     time.Time
+}
+
+func (f *fwdFrame) add(e fwdEntry) {
+	f.batch = append(f.batch, e)
+	f.pages += len(e.lpns)
+}
+
+func (f *fwdFrame) isDiscard() bool { return f.batch[0].isDiscard() }
+
+// newFrame takes an empty frame from the link's free list, allocating one
+// only when the list is empty.
+func (l *peerLink) newFrame() *fwdFrame {
+	select {
+	case f := <-l.frames:
+		return f
+	default:
+		return &fwdFrame{pc: peerCall{done: make(chan struct{}, 1)}}
+	}
+}
+
+// recycleFrame empties an acked frame, dropping every reference into its
+// entries, and returns it to the free list. Only frames whose call
+// completed with a response are recycled: that response orders the
+// completion after the encoder's last read of the frame (see
+// peerSession.sent), while a failed call's frame may still be on its way
+// through a dying write loop, so it is left to the collector.
+func (l *peerLink) recycleFrame(f *fwdFrame) {
+	clear(f.batch)
+	clear(f.chunks)
+	f.batch, f.chunks, f.pages = f.batch[:0], f.chunks[:0], 0
+	f.msg = Message{}
+	f.pc.msg, f.pc.chunks, f.pc.sess, f.pc.resp = nil, nil, nil, Message{}
+	select {
+	case l.frames <- f:
+	default:
+	}
+}
+
 // forwardLoop is a link's single forwarder goroutine: every partner gets
 // its own instance, queue, and in-flight window. It drains the link's
 // forward queue, group-commits entries into frames (amortizing frames,
 // syscalls, and peer round trips across concurrent writers), and keeps up
 // to MaxInflight frames on the wire — batch k+1 is sent while batch k's
-// ack is still pending.
+// ack is still pending. Each sent frame goes to the link's completion
+// goroutine (completeLoop), which waits for the acks in send order.
 //
 // The batching is self-clocking: a batch keeps absorbing queued entries
 // for exactly as long as it waits for a free in-flight slot. Under light
@@ -52,29 +106,26 @@ func (e fwdEntry) isDiscard() bool { return e.data == nil }
 // below the discard's stamp — a reordered pair converges to the same
 // remote state, at worst keeping an already-durable page's backup around
 // until the next discard cleans it.
-func (l *peerLink) forwardLoop() {
+func (l *peerLink) forwardLoop(inflight chan struct{}) {
 	n := l.n
 	defer l.wg.Done()
-	inflight := make(chan struct{}, n.cfg.MaxInflight)
-	var writes, discards []fwdEntry
-	wpages, dpages := 0, 0
+	defer close(l.sent)
+	writes, discards := l.newFrame(), l.newFrame()
 	discardDefers := 0
 	add := func(e fwdEntry) {
 		if e.isDiscard() {
-			discards = append(discards, e)
-			dpages += len(e.lpns)
+			discards.add(e)
 		} else {
-			writes = append(writes, e)
-			wpages += len(e.lpns)
+			writes.add(e)
 		}
 	}
 	abort := func() {
-		ackBatch(writes, errNodeClosing)
-		ackBatch(discards, errNodeClosing)
+		ackBatch(writes.batch, errNodeClosing)
+		ackBatch(discards.batch, errNodeClosing)
 		l.drainForwardQueue()
 	}
 	for {
-		if wpages == 0 && dpages == 0 {
+		if writes.pages == 0 && discards.pages == 0 {
 			select {
 			case <-l.stop:
 				abort()
@@ -85,7 +136,7 @@ func (l *peerLink) forwardLoop() {
 		}
 		acquired := false
 	collect:
-		for wpages < n.cfg.MaxBatchPages && dpages < n.cfg.MaxBatchPages {
+		for writes.pages < n.cfg.MaxBatchPages && discards.pages < n.cfg.MaxBatchPages {
 			// Absorb everything already queued before competing for an
 			// in-flight slot: a select would pick randomly between a
 			// waiting entry and a free slot, and every entry that loses
@@ -119,9 +170,9 @@ func (l *peerLink) forwardLoop() {
 		// discard batch preempts them — discard production tracks the
 		// flush pipeline, so under sustained write load the cap is hit
 		// quickly and the advisory stream is never starved outright.
-		if wpages > 0 && dpages < n.cfg.MaxBatchPages {
-			l.sendBatch(writes, inflight)
-			writes, wpages = nil, 0
+		if writes.pages > 0 && discards.pages < n.cfg.MaxBatchPages {
+			l.sendFrame(writes, inflight)
+			writes = l.newFrame()
 			continue
 		}
 		// GC-aware deferral of the non-urgent stream: while THIS partner
@@ -131,7 +182,7 @@ func (l *peerLink) forwardLoop() {
 		// a full batch always ships, so discard lag stays bounded by the
 		// same MaxBatchPages cap as before; correctness never depends on
 		// discard timing — they only free remote buffer space.
-		if dpages < n.cfg.MaxBatchPages && discardDefers < maxDiscardDefers &&
+		if discards.pages < n.cfg.MaxBatchPages && discardDefers < maxDiscardDefers &&
 			l.gcPressure() >= n.cfg.GCDeferThreshold && n.cfg.GCDeferThreshold > 0 {
 			discardDefers++
 			atomic.AddInt64(&n.stats.DiscardDeferrals, 1)
@@ -149,8 +200,8 @@ func (l *peerLink) forwardLoop() {
 			t.Stop()
 			continue
 		}
-		l.sendBatch(discards, inflight)
-		discards, dpages = nil, 0
+		l.sendFrame(discards, inflight)
+		discards = l.newFrame()
 		discardDefers = 0
 	}
 }
@@ -159,51 +210,73 @@ func (l *peerLink) forwardLoop() {
 // batch may wait out a GC-busy partner before shipping anyway.
 const maxDiscardDefers = 8
 
-// sendBatch builds one coalesced frame, starts it on the pipeline, and
-// hands completion to a goroutine so the forwarder can keep batching.
-// (Completing in the read loop via a callback was tried and measured
-// slower here: the acks make a crowd of writers runnable right before
-// the read loop re-enters a blocking read, and on a small GOMAXPROCS
-// they all wait out the syscall handoff. The dedicated waiter keeps ack
-// fanout off the connection's critical path.)
-func (l *peerLink) sendBatch(batch []fwdEntry, inflight chan struct{}) {
+// sendFrame builds one coalesced frame, starts it on the pipeline, and
+// hands it to the link's completion goroutine so the forwarder can keep
+// batching. The caller holds an in-flight slot, which completion returns.
+func (l *peerLink) sendFrame(f *fwdFrame, inflight chan struct{}) {
 	n := l.n
-	msg, chunks := buildBatchMessage(batch)
+	f.build()
 	// Every frame carries the sender's identity and ownership epoch so the
 	// receiver files backups per origin and rejects frames routed under a
 	// stale layout.
-	msg.Origin, msg.Epoch = n.selfID, n.epochA.Load()
-	pc, err := l.client.startChunks(msg, chunks)
-	if err != nil {
+	f.msg.Origin, f.msg.Epoch = n.selfID, n.epochA.Load()
+	f.pc.msg, f.pc.chunks = &f.msg, f.chunks
+	if err := l.client.startCall(&f.pc); err != nil {
 		<-inflight
-		ackBatch(batch, err)
+		ackBatch(f.batch, err)
 		return
 	}
-	if !batch[0].isDiscard() {
+	if !f.isDiscard() {
 		atomic.AddInt64(&n.stats.FwdFrames, 1)
 	}
-	t0 := time.Now()
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		defer func() { <-inflight }()
-		resp, err := l.client.wait(pc)
-		if err == nil && resp.Type == MsgError {
-			err = fmt.Errorf("cluster: forward rejected: %s", resp.Err)
-		}
+	f.t0 = time.Now()
+	l.sent <- f
+}
+
+// completeLoop is the link's one completion goroutine. It takes the
+// frames the forwarder sent, in send order, and waits for each ack on one
+// reusable timer: the partner serves a connection's requests one at a
+// time, so replies arrive in order and the head of the queue is always
+// the next to finish. Completion then acks the frame's writers, feeds the
+// breaker, frees the in-flight slot and recycles the frame.
+//
+// Keeping this off the connection's read loop is deliberate (completing
+// in the read loop via a callback was tried and measured slower): the
+// acks make a crowd of writers runnable right before the read loop
+// re-enters a blocking read, and on a small GOMAXPROCS they all wait out
+// the syscall handoff. One long-lived goroutine per link keeps the fan-out
+// off the read loop's critical path without spawning one per frame.
+func (l *peerLink) completeLoop(inflight chan struct{}) {
+	n := l.n
+	defer l.wg.Done()
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	for f := range l.sent {
+		resp, err := awaitCall(&f.pc, f.t0.Add(l.client.timeout), t)
 		if err == nil && resp.Type != MsgWriteAck && resp.Type != MsgDiscardAck {
 			err = fmt.Errorf("cluster: unexpected forward response %v", resp.Type)
 		}
-		ackBatch(batch, err)
+		ackBatch(f.batch, err)
 		// Feed the circuit breaker with the frame's service time: a
 		// partner answering, but so slowly that the inflight window stays
 		// saturated, eventually trips this link to Degraded just as a dead
 		// partner would (failed frames already degrade via the writer).
-		if err == nil && !batch[0].isDiscard() && l.brk.observe(int64(time.Since(t0))) {
-			atomic.AddInt64(&n.stats.BreakerTrips, 1)
-			l.noteForwardFailed()
+		// The trip's failover flushes the whole buffer, so it runs beside
+		// this loop rather than stalling the acks behind it; the trip is
+		// counted once its lifecycle transition has been applied.
+		if err == nil && !f.isDiscard() && l.brk.observe(int64(time.Since(f.t0))) {
+			l.wg.Add(1)
+			go func() {
+				defer l.wg.Done()
+				l.noteForwardFailed()
+				atomic.AddInt64(&n.stats.BreakerTrips, 1)
+			}()
 		}
-	}()
+		<-inflight
+		if err == nil {
+			l.recycleFrame(f)
+		}
+	}
 }
 
 // gcPressure reports this partner's last gossiped GC pressure.
@@ -211,60 +284,52 @@ func (l *peerLink) gcPressure() float64 {
 	return math.Float64frombits(l.pressure.Load())
 }
 
-// buildBatchMessage coalesces a same-type batch into one wire message
-// plus the gather list of page payloads. The entries' data slices are
+// build coalesces the frame's same-type batch into its wire message plus
+// the gather list of page payloads, reusing the frame's slices. A single
+// entry's LPNs and stamps ride as they are; the entries' data slices are
 // never concatenated: they ride to the socket by reference (the frame
 // encoder splices them into the writev), which is safe because each
 // entry's writer blocks on its ack and so keeps the payload stable until
 // the frame is on the wire.
-func buildBatchMessage(batch []fwdEntry) (*Message, [][]byte) {
-	if batch[0].isDiscard() {
-		lpns, stamps, strms := batch[0].lpns, batch[0].stamps, batch[0].strms
-		tagged := len(strms) > 0
-		for _, e := range batch[1:] {
-			if len(e.strms) > 0 {
-				tagged = true
-			}
-		}
-		if len(batch) > 1 {
-			lpns = append([]int64(nil), lpns...)
-			stamps = append([]uint64(nil), stamps...)
-			for _, e := range batch[1:] {
-				lpns = append(lpns, e.lpns...)
-				stamps = append(stamps, e.stamps...)
-			}
-		}
-		if !tagged {
-			return &Message{Type: MsgDiscard, LPNs: lpns, Stamps: stamps}, nil
-		}
-		// Streams must stay parallel to LPNs; entries without tags
-		// (trims) pad with the default stream.
-		strms = make([]stream.Stream, 0, len(lpns))
-		for _, e := range batch {
-			if len(e.strms) == len(e.lpns) {
-				strms = append(strms, e.strms...)
-			} else {
-				strms = append(strms, make([]stream.Stream, len(e.lpns))...)
-			}
-		}
-		return &Message{Type: MsgDiscard, LPNs: lpns, Stamps: stamps, Streams: strms}, nil
+func (f *fwdFrame) build() {
+	f.msg = Message{Type: MsgWriteFwd}
+	if f.isDiscard() {
+		f.msg.Type = MsgDiscard
 	}
-	if len(batch) == 1 {
-		return &Message{Type: MsgWriteFwd, LPNs: batch[0].lpns, Stamps: batch[0].stamps}, [][]byte{batch[0].data}
+	if len(f.batch) == 1 {
+		f.msg.LPNs, f.msg.Stamps = f.batch[0].lpns, f.batch[0].stamps
+	} else {
+		f.lpns, f.stamps = f.lpns[:0], f.stamps[:0]
+		for _, e := range f.batch {
+			f.lpns = append(f.lpns, e.lpns...)
+			f.stamps = append(f.stamps, e.stamps...)
+		}
+		f.msg.LPNs, f.msg.Stamps = f.lpns, f.stamps
 	}
-	var npages int
-	for _, e := range batch {
-		npages += len(e.lpns)
+	if !f.isDiscard() {
+		for _, e := range f.batch {
+			f.chunks = append(f.chunks, e.data)
+		}
+		return
 	}
-	lpns := make([]int64, 0, npages)
-	stamps := make([]uint64, 0, npages)
-	chunks := make([][]byte, 0, len(batch))
-	for _, e := range batch {
-		lpns = append(lpns, e.lpns...)
-		stamps = append(stamps, e.stamps...)
-		chunks = append(chunks, e.data)
+	tagged := false
+	for _, e := range f.batch {
+		tagged = tagged || len(e.strms) > 0
 	}
-	return &Message{Type: MsgWriteFwd, LPNs: lpns, Stamps: stamps}, chunks
+	if !tagged {
+		return
+	}
+	// Streams must stay parallel to LPNs; entries without tags (trims)
+	// pad with the default stream.
+	f.strms = f.strms[:0]
+	for _, e := range f.batch {
+		if len(e.strms) == len(e.lpns) {
+			f.strms = append(f.strms, e.strms...)
+		} else {
+			f.strms = append(f.strms, make([]stream.Stream, len(e.lpns))...)
+		}
+	}
+	f.msg.Streams = f.strms
 }
 
 // ackBatch completes every waiting writer in the batch. Discards have no
@@ -283,43 +348,44 @@ func (l *peerLink) drainForwardQueue() {
 	for {
 		select {
 		case e := <-l.fwdq:
-			ackBatch([]fwdEntry{e}, errNodeClosing)
+			if e.done != nil {
+				e.done <- errNodeClosing
+			}
 		default:
 			return
 		}
 	}
 }
 
-// enqueueForward queues a write backup on this link and returns its ack
-// channel. A momentarily full queue applies backpressure, but only up to
-// the write deadline: past it the write is shed with ErrOverloaded rather
-// than queueing without bound behind a saturated pipeline. Fails fast
-// during shutdown or link removal.
-func (l *peerLink) enqueueForward(lpns []int64, stamps []uint64, data []byte) (chan error, error) {
+// enqueueForward queues a write backup on this link; its ack arrives on
+// done, which must be empty with room for one value. A momentarily full
+// queue applies backpressure, but only up to the write deadline: past it
+// the write is shed with ErrOverloaded rather than queueing without bound
+// behind a saturated pipeline. Fails fast during shutdown or link removal.
+func (l *peerLink) enqueueForward(lpns []int64, stamps []uint64, data []byte, done chan error) error {
 	n := l.n
-	done := make(chan error, 1)
 	e := fwdEntry{lpns: lpns, stamps: stamps, data: data, done: done}
 	select {
 	case l.fwdq <- e:
-		return done, nil
+		return nil
 	case <-l.stop:
-		return nil, errPeerRemoved
+		return errPeerRemoved
 	case <-n.stop:
-		return nil, errNodeClosing
+		return errNodeClosing
 	default:
 	}
 	t := time.NewTimer(n.cfg.WriteDeadline)
 	defer t.Stop()
 	select {
 	case l.fwdq <- e:
-		return done, nil
+		return nil
 	case <-t.C:
 		atomic.AddInt64(&n.stats.Overloads, 1)
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	case <-l.stop:
-		return nil, errPeerRemoved
+		return errPeerRemoved
 	case <-n.stop:
-		return nil, errNodeClosing
+		return errNodeClosing
 	}
 }
 

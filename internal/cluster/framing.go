@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -132,6 +133,10 @@ func appendFrameV2(bufs net.Buffers, m *Message, chunks [][]byte) (net.Buffers, 
 	binary.BigEndian.PutUint32(blk[8:12], crc)
 	*sp = blk
 
+	if dataLen == 0 {
+		// No payload to splice: the metadata goes out as one piece.
+		return append(bufs, blk), sp, nil
+	}
 	bufs = append(bufs, blk[:split])
 	if len(m.Data) > 0 {
 		bufs = append(bufs, m.Data)
@@ -143,6 +148,63 @@ func appendFrameV2(bufs net.Buffers, m *Message, chunks [][]byte) (net.Buffers, 
 	}
 	bufs = append(bufs, blk[split:])
 	return bufs, sp, nil
+}
+
+// frameBatch is a gather list of encoded frames waiting for one writev.
+// The list, the metadata scratch blocks it pins and the slice header
+// WriteTo consumes are all reused across flushes, so steady-state
+// batching allocates nothing. Payloads are spliced in by reference (see
+// appendFrameV2) and must stay untouched until the flush.
+type frameBatch struct {
+	bufs    net.Buffers
+	out     net.Buffers // WriteTo's receiver; a field so it does not escape per flush
+	scratch []*[]byte
+}
+
+// add encodes m (plus the chunks as trailing payload) onto the batch.
+func (b *frameBatch) add(m *Message, chunks [][]byte) error {
+	bufs, sp, err := appendFrameV2(b.bufs, m, chunks)
+	if err != nil {
+		return err
+	}
+	b.bufs, b.scratch = bufs, append(b.scratch, sp)
+	return nil
+}
+
+// frames reports how many frames are waiting.
+func (b *frameBatch) frames() int { return len(b.scratch) }
+
+// flush writes every waiting frame to w in one gather write and empties
+// the batch.
+func (b *frameBatch) flush(w io.Writer) error {
+	b.out = b.bufs
+	_, err := b.out.WriteTo(w)
+	b.reset()
+	return err
+}
+
+// reset drops the waiting frames, returning their scratch blocks to the
+// pool and their payload references to the collector.
+func (b *frameBatch) reset() {
+	for _, sp := range b.scratch {
+		releaseFrameScratch(sp)
+	}
+	clear(b.scratch)
+	clear(b.bufs)
+	b.scratch, b.bufs, b.out = b.scratch[:0], b.bufs[:0], nil
+}
+
+// frameBuffered reports whether br already holds the whole next frame,
+// so reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < FrameHdrV2Len {
+		return false
+	}
+	hdr, err := br.Peek(FrameHdrV2Len)
+	if err != nil {
+		return false
+	}
+	return br.Buffered()-FrameHdrV2Len >= int(binary.BigEndian.Uint32(hdr[4:8]))
 }
 
 // checkLengths rejects fields whose length does not fit their u16 prefix,
@@ -178,35 +240,56 @@ func WriteFrameV2(w io.Writer, m *Message) error {
 }
 
 // ReadFrame reads one frame from r, verifying its header and checksum.
+// The returned message owns its memory.
 func ReadFrame(r io.Reader) (*Message, error) {
-	var hdr [FrameHdrV2Len]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var m Message
+	var buf []byte
+	if err := readFrameInto(r, &m, &buf); err != nil {
 		return nil, err
 	}
+	return &m, nil
+}
+
+// readFrameInto reads one frame from r into m, verifying its header and
+// checksum. The body is read into *buf, which is grown (and replaced) only
+// when the frame does not fit, and m is decoded in place (see Unmarshal):
+// a loop that passes the same m and buf for every frame allocates nothing
+// in steady state. The decoded m.Data aliases *buf, so it — like m's
+// reused slices — is valid only until the next call with the same
+// arguments; callers copy what they keep.
+func readFrameInto(r io.Reader, m *Message, buf *[]byte) error {
+	if cap(*buf) < FrameHdrV2Len {
+		*buf = make([]byte, FrameHdrV2Len)
+	}
+	// The header is read into the body buffer: a local array would
+	// escape through the io.Reader call and cost an allocation per frame.
+	hdr := (*buf)[:FrameHdrV2Len]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return err
+	}
 	if hdr[0] != FrameMagicV2 {
-		return nil, fmt.Errorf("%w: bad frame magic %#x", ErrBadFrame, hdr[0])
+		return fmt.Errorf("%w: bad frame magic %#x", ErrBadFrame, hdr[0])
 	}
 	if hdr[1] != FrameVersion2 {
-		return nil, fmt.Errorf("%w: unsupported frame version %d", ErrBadFrame, hdr[1])
+		return fmt.Errorf("%w: unsupported frame version %d", ErrBadFrame, hdr[1])
 	}
 	if hdr[2] != 0 || hdr[3] != 0 {
-		return nil, fmt.Errorf("%w: nonzero reserved frame bytes", ErrBadFrame)
+		return fmt.Errorf("%w: nonzero reserved frame bytes", ErrBadFrame)
 	}
 	n := binary.BigEndian.Uint32(hdr[4:8])
 	sum := binary.BigEndian.Uint32(hdr[8:12])
 	if n > MaxFrameBytes {
-		return nil, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
-	body := make([]byte, n)
+	if int(n) > cap(*buf) {
+		*buf = make([]byte, n)
+	}
+	body := (*buf)[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return err
 	}
 	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
-	var m Message
-	if err := m.Unmarshal(body); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return m.Unmarshal(body)
 }

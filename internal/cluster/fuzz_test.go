@@ -116,7 +116,7 @@ func FuzzDecodeResync(f *testing.F) {
 	}
 	n := &LiveNode{dev: dev, remoteBudget: 128}
 	ps := dev.PageSize()
-	n.pagePool.New = func() any { return make([]byte, ps) }
+	n.pageSize = ps
 
 	well := &Message{Type: MsgResync, Seq: 1, LPNs: []int64{0, 3}, Stamps: []uint64{5, 6}, Data: make([]byte, 2*ps)}
 	short := &Message{Type: MsgResync, Seq: 2, LPNs: []int64{1}, Stamps: []uint64{1}, Data: []byte{0xEE}}
@@ -138,7 +138,7 @@ func FuzzDecodeResync(f *testing.F) {
 		// handler's shape validation sees the full input space, not just
 		// the tiny fraction that fuzzed the type byte right.
 		m.Type = MsgResync
-		resp := n.handle(&m)
+		resp := n.handle(&m, new(Message))
 		if resp == nil {
 			t.Fatal("handler returned no response")
 		}
@@ -191,6 +191,54 @@ func FuzzReadFrameV2(f *testing.F) {
 		}
 		if !messagesEqual(m, m2) {
 			t.Fatalf("v2 round trip changed the message:\n  first:  %+v\n  second: %+v", m, m2)
+		}
+	})
+}
+
+// FuzzReadFrameReuse decodes an arbitrary byte stream as a sequence of
+// frames through one reused Message and body buffer — the way a
+// connection's read loop does — and requires every decode to equal a
+// fresh ReadFrame of the same bytes: no field, slice element or payload
+// byte may leak from the previous frame, and the reused path must accept
+// and reject exactly what the fresh one does.
+func FuzzReadFrameReuse(f *testing.F) {
+	seeds := fuzzSeedMessages()
+	stream := func(msgs []*Message) []byte {
+		var buf bytes.Buffer
+		for _, m := range msgs {
+			if err := WriteFrameV2(&buf, m); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	f.Add(stream(seeds))
+	rev := make([]*Message, len(seeds))
+	for i, m := range seeds {
+		rev[len(seeds)-1-i] = m
+	}
+	f.Add(stream(rev))
+	// A big frame followed by small ones: every reused slice shrinks.
+	f.Add(stream([]*Message{seeds[7], seeds[0], seeds[4], seeds[15], seeds[6]}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var (
+			m   Message
+			buf []byte
+		)
+		for i := 0; ; i++ {
+			start := len(data) - r.Len()
+			err := readFrameInto(r, &m, &buf)
+			fresh, ferr := ReadFrame(bytes.NewReader(data[start:]))
+			if (err == nil) != (ferr == nil) {
+				t.Fatalf("frame %d: reused decode err %v, fresh decode err %v", i, err, ferr)
+			}
+			if err != nil {
+				return
+			}
+			if !messagesEqual(&m, fresh) {
+				t.Fatalf("frame %d: reused decode differs from a fresh one:\n  reused: %+v\n  fresh:  %+v", i, m, *fresh)
+			}
 		}
 	})
 }
@@ -280,7 +328,6 @@ func FuzzDecodeEpoch(f *testing.F) {
 	n := &LiveNode{dev: dev, remoteBudget: 128}
 	n.cfg.RemotePages = 128
 	n.pageSize = dev.PageSize()
-	n.pagePool.New = func() any { return make([]byte, n.pageSize) }
 	n.epochA.Store(curEpoch)
 
 	ps := dev.PageSize()
@@ -304,7 +351,7 @@ func FuzzDecodeEpoch(f *testing.F) {
 			return
 		}
 		m.Type = MsgWriteFwd
-		resp := n.handle(&m)
+		resp := n.handle(&m, new(Message))
 		if resp == nil {
 			t.Fatal("handler returned no response")
 		}

@@ -470,8 +470,8 @@ type LiveNode struct {
 	poisonCh    chan error
 	poisonedAny atomic.Bool
 
-	stats    LiveStats // atomic access only
-	pagePool sync.Pool // page-size []byte buffers for dirty and backup payloads
+	stats    LiveStats   // atomic access only
+	pageFree chan []byte // recycled page-size buffers for dirty and backup payloads
 
 	writeLat *metrics.StripedLatencyHist // full Write latency, ms
 	fwdLat   *metrics.StripedLatencyHist // forward enqueue-to-ack latency, ms
@@ -593,8 +593,7 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 			evictq:     make(chan flushJob, cfg.EvictQueue),
 		}
 	}
-	ps := dev.PageSize()
-	n.pagePool.New = func() any { return make([]byte, ps) }
+	n.pageFree = make(chan []byte, pageFreePages)
 	if cfg.DataDir != "" && cfg.SyncWrites && cfg.SyncInterval >= 0 {
 		// The coordinator lives on n.stop, which Close only fires after
 		// FlushAll — so shutdown-path persists still group-commit.
@@ -639,8 +638,33 @@ func (n *LiveNode) syncSection(anchor int64, pages int) error {
 	return sec.flush()
 }
 
-func (n *LiveNode) getPage() []byte  { return n.pagePool.Get().([]byte) }
-func (n *LiveNode) putPage(p []byte) { n.pagePool.Put(p) }
+// pageFreePages bounds the page free list: enough to absorb the churn of
+// a flush unit or a discard frame, small enough (512 KiB of 4 KB pages)
+// that the pages it pins barely move the heap's GC target.
+const pageFreePages = 128
+
+// getPage takes a page-size buffer from the free list, allocating only
+// when it is empty. A bounded channel rather than a sync.Pool: putting a
+// slice into a Pool boxes its header (one allocation per recycle), and a
+// Pool is emptied by every GC cycle, so the hot path would re-allocate
+// 4 KB pages in GC-paced bursts.
+func (n *LiveNode) getPage() []byte {
+	select {
+	case p := <-n.pageFree:
+		return p
+	default:
+		return make([]byte, n.pageSize)
+	}
+}
+
+// putPage returns a page to the free list; a full list drops it to the
+// collector.
+func (n *LiveNode) putPage(p []byte) {
+	select {
+	case n.pageFree <- p:
+	default:
+	}
+}
 
 // refreshGCPressureLocked re-reads the FTL's GC pressure into the atomic
 // mirror. Caller holds devMu (the device is not thread-safe).
@@ -1039,10 +1063,17 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 	atomic.AddInt64(&n.stats.Writes, 1)
 	n.winWrites.Add(1)
 
+	ws := writeScratchPool.Get().(*writeScratch)
+	reuse := true
+	defer func() {
+		if reuse {
+			clear(ws.copies)
+			writeScratchPool.Put(ws)
+		}
+	}()
 	// Copy payloads into pooled buffers before taking any lock.
-	lpns := make([]int64, pages)
-	stamps := make([]uint64, pages)
-	copies := make([][]byte, pages)
+	ws.lpns, ws.stamps, ws.copies = resize(ws.lpns, pages), resize(ws.stamps, pages), resize(ws.copies, pages)
+	lpns, stamps, copies := ws.lpns, ws.stamps, ws.copies
 	for i := 0; i < pages; i++ {
 		lpns[i] = lpn + int64(i)
 		pg := n.getPage()
@@ -1079,28 +1110,27 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 	rs := n.rs.Load()
 	var targets map[int64][]*peerLink
 	if rs != nil {
-		groups, tgs := n.planForward(rs, lpns)
-		targets = tgs
+		n.planForward(rs, lpns, &ws.plan)
+		groups := ws.plan.groups
+		targets = ws.plan.targets
 		if len(groups) > 0 {
 			tf := time.Now()
-			dones := make([]chan error, len(groups))
-			for gi, g := range groups {
-				gl, gs, gd := g.finalize(lpns, stamps, data, ps)
-				done, ferr := g.link.enqueueForward(gl, gs, gd)
-				if ferr != nil {
-					g.err = ferr
-					continue
-				}
-				dones[gi] = done
+			for len(ws.dones) < len(groups) {
+				ws.dones = append(ws.dones, make(chan error, 1))
 			}
-			for gi, g := range groups {
-				if dones[gi] == nil {
-					continue
+			for gi := range groups {
+				g := &groups[gi]
+				g.err = g.link.enqueueForward(gather(lpns, g.idxs, 1), gather(stamps, g.idxs, 1), gather(data, g.idxs, ps), ws.dones[gi])
+			}
+			for gi := range groups {
+				g := &groups[gi]
+				if g.err != nil {
+					continue // never queued
 				}
 				// Also watch n.stop: an entry enqueued as a forwarder exits
 				// would otherwise wait forever for an ack nobody sends.
 				select {
-				case g.err = <-dones[gi]:
+				case g.err = <-ws.dones[gi]:
 				case <-n.stop:
 					g.err = errNodeClosing
 				}
@@ -1115,6 +1145,10 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 					failed = true
 				}
 			}
+			// A failed or abandoned forward may still be read by a frame
+			// encoder (or acked into its channel later): its scratch is
+			// left to the collector.
+			reuse = !overloaded && !failed
 			if overloaded {
 				// Shedding is not a peer failure: the partners are fine, we
 				// are saturated. The write fails fast unacked (its pages stay
@@ -1156,6 +1190,22 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 	n.recordLatency(n.writeLat, t0)
 	return nil
 }
+
+// writeScratch is one Write call's working set: the page LPNs, stamps and
+// buffer copies, the forward plan, and one ack channel per planned group.
+// Write takes it from writeScratchPool and returns it only when every
+// forward it carried was acked: the LPN and stamp slices ride in the
+// queued frames by reference, so a failed or abandoned forward's scratch
+// is left to the collector.
+type writeScratch struct {
+	lpns   []int64
+	stamps []uint64
+	copies [][]byte
+	plan   fwdPlan
+	dones  []chan error
+}
+
+var writeScratchPool = sync.Pool{New: func() any { return new(writeScratch) }}
 
 // writeThroughRun synchronously persists one shard run of a degraded
 // write and journals it for the next resync of each link in targets. The
@@ -1540,8 +1590,8 @@ func (n *LiveNode) Close() error {
 	return err
 }
 
-// waitLinks reaps every link's goroutines (forwarder, prober, in-flight
-// ack waiters) after shutdown halted them. The link set is static by now:
+// waitLinks reaps every link's goroutines (forwarder, completion, prober)
+// after shutdown halted them. The link set is static by now:
 // closing (set under n.mu before the halt) gates SetMembers.
 func (n *LiveNode) waitLinks() {
 	n.mu.Lock()
@@ -1634,18 +1684,45 @@ func (n *LiveNode) serveConn(conn net.Conn) {
 	}()
 	// Requests are read through one buffered reader: a pipelined burst of
 	// forward frames arrives as one segment, so the header/body reads of
-	// consecutive frames share syscalls instead of paying three each.
+	// consecutive frames share syscalls instead of paying three each. Each
+	// request decodes into the same Message and body buffer, and fixed-
+	// shape replies are built in the same ack Message, so a forward round
+	// trip allocates nothing here. Replies collect in one gather list and
+	// leave in a single writev before any read that could block — every
+	// ack ready when the burst drains shares one syscall — and the
+	// checksum also protects the RCT recovery payloads.
 	br := bufio.NewReaderSize(conn, 256<<10)
+	var (
+		req, ack Message
+		body     []byte
+		replies  frameBatch
+	)
+	defer replies.reset()
+	// The request buffer kept between frames holds at most one full
+	// MaxBatchPages forward frame: payload plus the LPN and stamp arrays,
+	// with slack for the fixed fields and the origin.
+	retain := n.cfg.MaxBatchPages*(n.pageSize+16) + 1<<10
 	for {
-		msg, err := ReadFrame(br)
-		if err != nil {
+		if k := replies.frames(); k > 0 && (k >= sendBatchFrames || !frameBuffered(br)) {
+			if err := replies.flush(conn); err != nil {
+				return
+			}
+		}
+		if err := readFrameInto(br, &req, &body); err != nil {
+			// Best effort: answer what was served before the stream broke;
+			// the connection closes either way.
+			_ = replies.flush(conn)
 			return
 		}
-		resp := n.handle(msg)
-		resp.Seq = msg.Seq
-		// One gather write per reply; the checksum also protects the
-		// RCT recovery payloads.
-		if err := WriteFrameV2(conn, resp); err != nil {
+		// A frame bigger than one full forward batch (RCT fetch answers,
+		// resync streams) was read into a one-off buffer: drop it rather
+		// than pin up to MaxFrameBytes per connection.
+		if cap(body) > retain {
+			body = nil
+		}
+		resp := n.handle(&req, &ack)
+		resp.Seq = req.Seq
+		if err := replies.add(resp, nil); err != nil {
 			return
 		}
 	}
@@ -1655,22 +1732,30 @@ func (n *LiveNode) serveConn(conn net.Conn) {
 // resyncs, discards) are epoch-checked first: a frame routed under an
 // older ring layout than ours is rejected so late traffic from a previous
 // epoch can never land in (or drop from) a hold its sender no longer owns.
-func (n *LiveNode) handle(m *Message) *Message {
+//
+// m belongs to the connection and is overwritten by the next request, so
+// handle copies whatever it keeps (payloads into pooled pages). Fixed-
+// shape replies are built in ack, the connection's reusable reply, which
+// the caller encodes before the next request; replies carrying a payload
+// (RCT data, repair answers) and errors are fresh messages.
+func (n *LiveNode) handle(m, ack *Message) *Message {
 	switch m.Type {
 	case MsgHello:
-		return &Message{Type: MsgHelloAck}
+		return reply(ack, MsgHelloAck)
 	case MsgHeartbeat:
 		// Record the partner's gossiped GC pressure and answer with ours,
 		// so one exchange refreshes both directions.
 		if l := n.linkByOrigin(m.Origin); l != nil {
 			l.pressure.Store(math.Float64bits(m.Pressure))
 		}
-		return &Message{Type: MsgHeartbeatAck, Pressure: n.GCPressure()}
+		r := reply(ack, MsgHeartbeatAck)
+		r.Pressure = n.GCPressure()
+		return r
 	case MsgWriteFwd:
 		if rej := n.checkEpoch(m); rej != nil {
 			return rej
 		}
-		return n.applyBackup(m, MsgWriteAck)
+		return n.applyBackup(m, ack, MsgWriteAck)
 	case MsgResync:
 		// A partner re-replicating its degraded-write journal after an
 		// outage. Identical stamp-guarded RCT insert as a live forward:
@@ -1679,7 +1764,7 @@ func (n *LiveNode) handle(m *Message) *Message {
 		if rej := n.checkEpoch(m); rej != nil {
 			return rej
 		}
-		return n.applyBackup(m, MsgResyncAck)
+		return n.applyBackup(m, ack, MsgResyncAck)
 	case MsgDiscard:
 		if rej := n.checkEpoch(m); rej != nil {
 			return rej
@@ -1689,13 +1774,16 @@ func (n *LiveNode) handle(m *Message) *Message {
 		if h == nil {
 			// No backups held for this origin; nothing to drop.
 			n.mu.Unlock()
-			return &Message{Type: MsgDiscardAck}
+			return reply(ack, MsgDiscardAck)
 		}
 		dropped := m.LPNs
 		if len(m.Stamps) == len(m.LPNs) {
 			// A discard only covers the version it was issued for: a
-			// backup newer than the discard's stamp must survive.
-			dropped = dropped[:0:0]
+			// backup newer than the discard's stamp must survive. The
+			// survivors are filtered out in place — the request is the
+			// connection's scratch, and the write index never passes the
+			// read index.
+			dropped = dropped[:0]
 			for i, lpn := range m.LPNs {
 				if cur, ok := h.stamp[lpn]; ok && cur > m.Stamps[i] {
 					continue
@@ -1712,7 +1800,7 @@ func (n *LiveNode) handle(m *Message) *Message {
 			delete(h.stamp, lpn)
 		}
 		n.mu.Unlock()
-		return &Message{Type: MsgDiscardAck}
+		return reply(ack, MsgDiscardAck)
 	case MsgFetchRCT:
 		ps := n.pageSize
 		n.mu.Lock()
@@ -1772,7 +1860,7 @@ func (n *LiveNode) handle(m *Message) *Message {
 			}
 		}
 		n.mu.Unlock()
-		return &Message{Type: MsgCleanAck}
+		return reply(ack, MsgCleanAck)
 	case MsgMembership:
 		// A partner proposing a new ring layout. Validate the frame shape
 		// and epoch, then apply it through the same SetMembers path a local
@@ -1783,17 +1871,30 @@ func (n *LiveNode) handle(m *Message) *Message {
 		if err := n.SetMembers(m.Epoch, m.Members); err != nil {
 			return &Message{Type: MsgError, Err: err.Error()}
 		}
-		return &Message{Type: MsgMembershipAck, Epoch: m.Epoch}
+		r := reply(ack, MsgMembershipAck)
+		r.Epoch = m.Epoch
+		return r
 	case MsgWorkloadInfo:
-		return &Message{Type: MsgWorkloadInfoAck, Info: n.localInfo()}
+		r := reply(ack, MsgWorkloadInfoAck)
+		r.Info = n.localInfo()
+		return r
 	default:
 		return &Message{Type: MsgError, Err: fmt.Sprintf("unhandled message %v", m.Type)}
 	}
 }
 
+// reply resets the connection's reusable reply message to a bare
+// response of type t.
+func reply(ack *Message, t MsgType) *Message {
+	*ack = Message{Type: t}
+	return ack
+}
+
 // applyBackup inserts one frame of partner pages (a live MsgWriteFwd or a
-// rejoin MsgResync) into the sender's hold under the write-stamp guard.
-func (n *LiveNode) applyBackup(m *Message, ack MsgType) *Message {
+// rejoin MsgResync) into the sender's hold under the write-stamp guard,
+// copying each accepted page out of the frame, and answers in ack with
+// type t.
+func (n *LiveNode) applyBackup(m, ack *Message, t MsgType) *Message {
 	ps := n.pageSize
 	if len(m.Data) != len(m.LPNs)*ps {
 		return &Message{Type: MsgError, Err: fmt.Sprintf("%v payload size mismatch", m.Type)}
@@ -1829,7 +1930,7 @@ func (n *LiveNode) applyBackup(m *Message, ack MsgType) *Message {
 	}
 	n.gcHoldLocked(h)
 	n.mu.Unlock()
-	return &Message{Type: ack}
+	return reply(ack, t)
 }
 
 // SnapshotDirty returns a copy of the locally buffered dirty payloads —

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -60,13 +62,46 @@ type peerClient struct {
 // request's page payload as a gather list: the frame encoder splices the
 // slices onto the wire by reference (see appendFrameV2), so the caller
 // must keep them untouched until the call completes.
+//
+// A call completes exactly once: its completer (the read loop, or the
+// session teardown) fills resp or err and sends one token on done, which
+// the call's single waiter receives. done has room for exactly that
+// token, so a completed and waited call leaves it empty and the whole
+// peerCall — channel included — can carry the next request (the
+// forwarder keeps one per frame; see fwdFrame).
 type peerCall struct {
 	msg    *Message
 	chunks [][]byte
 	sess   *peerSession
 	done   chan struct{}
-	resp   *Message
+	resp   Message // owned by the waiter: payloads are copied out of the read buffer
 	err    error
+}
+
+// newCall returns a one-off call carrying m.
+func newCall(m *Message, chunks [][]byte) *peerCall {
+	return &peerCall{msg: m, chunks: chunks, done: make(chan struct{}, 1)}
+}
+
+// result reports a completed call's outcome.
+func (pc *peerCall) result() (*Message, error) {
+	if pc.err != nil {
+		return nil, pc.err
+	}
+	return &pc.resp, nil
+}
+
+// take copies a decoded response into the call. The read loop decodes
+// every frame into one reused Message and buffer, so the payload slices
+// are cloned (an ack carries none, and its copy allocates nothing);
+// Members and Streams are freshly allocated by every decode and move over
+// as they are.
+func (pc *peerCall) take(m *Message) {
+	pc.resp = *m
+	pc.resp.LPNs = slices.Clone(m.LPNs)
+	pc.resp.Stamps = slices.Clone(m.Stamps)
+	pc.resp.Data = slices.Clone(m.Data)
+	pc.err = nil
 }
 
 // peerSession is the state of one live connection: its send queue, the
@@ -80,6 +115,13 @@ type peerSession struct {
 	mu      sync.Mutex
 	pending map[uint64]*peerCall
 	err     error
+
+	// sent is the highest Seq the write loop has encoded. The write loop
+	// stores it before the batch goes on the wire and the read loop loads
+	// it before completing a call, which orders every completion after
+	// the encoder's last read of the request: a completed call's message
+	// and chunk list may be reused at once.
+	sent atomic.Uint64
 
 	failOnce sync.Once
 }
@@ -114,74 +156,88 @@ func (p *peerClient) callT(m *Message, timeout time.Duration) (*Message, error) 
 }
 
 // start enqueues a request onto the pipeline without waiting for the
-// response. The caller must eventually wait(pc).
+// response. The caller must eventually waitT(pc).
 func (p *peerClient) start(m *Message) (*peerCall, error) {
-	return p.startChunks(m, nil)
+	pc := newCall(m, nil)
+	if err := p.startCall(pc); err != nil {
+		return nil, err
+	}
+	return pc, nil
 }
 
-// startChunks is start with the page payload supplied as a gather list
-// instead of m.Data: the chunks go onto the wire zero-copy, in order,
-// after whatever m.Data holds. The caller must not mutate or recycle the
-// chunk slices until the call completes (the writer's Write blocks on
-// exactly that completion).
-func (p *peerClient) startChunks(m *Message, chunks [][]byte) (*peerCall, error) {
+// startCall enqueues a prepared call — pc.msg, optional pc.chunks, and an
+// empty pc.done — onto the pipeline. The chunks are the page payload as a
+// gather list: they go onto the wire zero-copy, in order, after whatever
+// pc.msg.Data holds, so the caller must not mutate or recycle them until
+// the call completes (the writer's Write blocks on exactly that
+// completion). On error the call is complete and was never sent.
+func (p *peerClient) startCall(pc *peerCall) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, errClientClosed
+		return errClientClosed
 	}
 	s := p.sess
 	if s == nil {
 		var err error
 		if s, err = p.dialLocked(); err != nil {
 			p.mu.Unlock()
-			return nil, err
+			return err
 		}
 	}
 	p.seq++
-	m.Seq = p.seq
-	pc := &peerCall{msg: m, chunks: chunks, sess: s, done: make(chan struct{})}
+	pc.msg.Seq = p.seq
+	pc.sess = s
 	s.mu.Lock()
 	if s.err != nil {
 		err := s.err
 		s.mu.Unlock()
 		p.mu.Unlock()
-		return nil, err
+		return err
 	}
-	s.pending[m.Seq] = pc
+	s.pending[pc.msg.Seq] = pc
 	s.mu.Unlock()
 	p.mu.Unlock()
 
 	select {
 	case s.sendq <- pc:
-		return pc, nil
+		return nil
 	case <-s.dead:
 		// The session failed while we were queueing; the drain already
 		// completed (or will complete) this call with the session error.
 		<-pc.done
-		return nil, pc.err
+		return pc.err
 	}
 }
 
-// wait blocks until the call completes or the client timeout elapses. A
-// timeout tears the session down (the connection is no longer trustworthy:
-// a late response would be matched against nothing).
-func (p *peerClient) wait(pc *peerCall) (*Message, error) {
-	return p.waitT(pc, p.timeout)
-}
-
-// waitT is wait with an explicit timeout (see callT).
+// waitT blocks until the call completes or timeout elapses. A timeout
+// tears the session down (the connection is no longer trustworthy: a late
+// response would be matched against nothing).
 func (p *peerClient) waitT(pc *peerCall, timeout time.Duration) (*Message, error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
+	return awaitCall(pc, time.Now().Add(timeout), t)
+}
+
+// awaitCall waits for pc until deadline on the caller's timer, which must
+// be stopped (or fired and drained) and is left that way, so one timer
+// serves any number of sequential waits. A missed deadline fails the
+// call's whole session, as in waitT.
+func awaitCall(pc *peerCall, deadline time.Time, t *time.Timer) (*Message, error) {
 	select {
 	case <-pc.done:
-		return pc.resp, pc.err
+		return pc.result()
+	default:
+	}
+	t.Reset(time.Until(deadline))
+	select {
+	case <-pc.done:
+		t.Stop()
 	case <-t.C:
 		pc.sess.fail(errCallTimeout)
 		<-pc.done
-		return pc.resp, pc.err
 	}
+	return pc.result()
 }
 
 // dialLocked connects (subject to the backoff gate) and starts the pump
@@ -274,29 +330,19 @@ const sendBatchFrames = 64
 // share one syscall.
 func (s *peerSession) writeLoop() {
 	defer s.client.wg.Done()
-	var (
-		bufs    net.Buffers
-		scratch []*[]byte
-	)
-	release := func() {
-		for _, sp := range scratch {
-			releaseFrameScratch(sp)
-		}
-		scratch = scratch[:0]
-	}
+	var batch frameBatch
+	defer batch.reset()
 	for {
 		select {
 		case pc := <-s.sendq:
-			bufs = bufs[:0]
+			sent := s.sent.Load()
 			for {
-				nb, sp, err := appendFrameV2(bufs, pc.msg, pc.chunks)
-				if err != nil {
-					release()
+				if err := batch.add(pc.msg, pc.chunks); err != nil {
 					s.fail(err)
 					return
 				}
-				bufs, scratch = nb, append(scratch, sp)
-				if len(scratch) >= sendBatchFrames {
+				sent = max(sent, pc.msg.Seq)
+				if batch.frames() >= sendBatchFrames {
 					break
 				}
 				var more bool
@@ -309,13 +355,9 @@ func (s *peerSession) writeLoop() {
 					break
 				}
 			}
+			s.sent.Store(sent)
 			_ = s.conn.SetWriteDeadline(time.Now().Add(s.client.timeout))
-			// WriteTo consumes the slice it is invoked on; keep bufs
-			// intact so its backing array is reused next batch.
-			out := bufs
-			_, err := out.WriteTo(s.conn)
-			release()
-			if err != nil {
+			if err := batch.flush(s.conn); err != nil {
 				s.fail(err)
 				return
 			}
@@ -325,18 +367,34 @@ func (s *peerSession) writeLoop() {
 	}
 }
 
+// maxRetainedReply caps the receive buffer a session keeps between
+// frames. Acks are tens of bytes; an RCT or repair answer bigger than
+// this is read into a one-off buffer.
+const maxRetainedReply = 64 << 10
+
 // readLoop matches response frames to pending calls by Seq, tolerating
 // out-of-order completion. The connection is read through one buffered
 // reader: a frame header is a handful of bytes, and a pipelined burst of
 // acks arrives as one segment, so buffering turns several tiny reads per
-// frame into one syscall per burst.
+// frame into one syscall per burst. Every frame decodes into the same
+// Message and buffer; take copies what the waiter keeps.
 func (s *peerSession) readLoop() {
 	defer s.client.wg.Done()
 	br := bufio.NewReaderSize(s.conn, 64<<10)
+	var (
+		msg Message
+		buf []byte
+	)
 	for {
-		msg, err := ReadFrame(br)
-		if err != nil {
+		if err := readFrameInto(br, &msg, &buf); err != nil {
 			s.fail(err)
+			return
+		}
+		if cap(buf) > maxRetainedReply {
+			buf = nil
+		}
+		if msg.Seq > s.sent.Load() {
+			s.fail(fmt.Errorf("cluster: response to unsent seq %d", msg.Seq))
 			return
 		}
 		s.mu.Lock()
@@ -350,9 +408,9 @@ func (s *peerSession) readLoop() {
 		if msg.Type == MsgError {
 			pc.err = fmt.Errorf("cluster: peer error: %s", msg.Err)
 		} else {
-			pc.resp = msg
+			pc.take(&msg)
 		}
-		close(pc.done)
+		pc.done <- struct{}{}
 	}
 }
 
@@ -379,7 +437,7 @@ func (s *peerSession) fail(err error) {
 		p.mu.Unlock()
 		for _, pc := range drained {
 			pc.err = err
-			close(pc.done)
+			pc.done <- struct{}{}
 		}
 	})
 }

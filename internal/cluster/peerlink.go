@@ -26,11 +26,18 @@ type peerLink struct {
 	id     string // ring member ID == the partner's listen address
 	client *peerClient
 
-	fwdq      chan fwdEntry
+	fwdq chan fwdEntry
+	// sent carries frames from the forwarder to the completion goroutine
+	// in send order; MaxInflight slots hold every frame the in-flight
+	// window admits, so a send never blocks. frames is the free list of
+	// acked frames; at most a full window plus the write and discard
+	// frames the forwarder is filling exist at once, and it holds them all.
+	sent      chan *fwdFrame
+	frames    chan *fwdFrame
 	probeKick chan struct{} // buffered(1): wakes the prober out of its backoff sleep
 	stop      chan struct{} // closed on removal or node shutdown
 	stopOnce  sync.Once
-	wg        sync.WaitGroup // forwarder, prober, and in-flight ack waiters
+	wg        sync.WaitGroup // forwarder, completion, and prober
 
 	brk breaker
 
@@ -57,6 +64,8 @@ func (n *LiveNode) newLinkLocked(id string) *peerLink {
 		id:        id,
 		client:    newPeerClient(id, n.cfg.CallTimeout, n.cfg.Dialer),
 		fwdq:      make(chan fwdEntry, n.cfg.ForwardQueue),
+		sent:      make(chan *fwdFrame, n.cfg.MaxInflight),
+		frames:    make(chan *fwdFrame, n.cfg.MaxInflight+2),
 		probeKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		brk:       breaker{threshold: int64(n.cfg.BreakerThreshold), window: int32(n.cfg.BreakerWindow)},
@@ -65,10 +74,14 @@ func (n *LiveNode) newLinkLocked(id string) *peerLink {
 	}
 }
 
-// start launches the link's forwarder goroutine.
+// start launches the link's forwarder and completion goroutines. They
+// share the in-flight window: the forwarder takes a slot per frame sent,
+// completion returns it once the frame is acked or failed.
 func (l *peerLink) start() {
-	l.wg.Add(1)
-	go l.forwardLoop()
+	inflight := make(chan struct{}, l.n.cfg.MaxInflight)
+	l.wg.Add(2)
+	go l.forwardLoop(inflight)
+	go l.completeLoop(inflight)
 }
 
 // halt stops the link: the forwarder aborts (failing queued entries), the
@@ -109,9 +122,8 @@ func (rs *ringState) ownerLinks(out []*peerLink, lpn int64, ppb int) []*peerLink
 	if lpn < 0 && lpn%int64(ppb) != 0 {
 		block--
 	}
-	ids := make([]string, 0, rs.ring.Replicas())
-	rs.ring.appendOwners(&ids, BlockKey(rs.self, block), rs.self)
-	for _, id := range ids {
+	var buf [4]string
+	for _, id := range rs.ring.appendOwners(buf[:0], BlockKey(rs.self, block), rs.self) {
 		if l := rs.byID[id]; l != nil {
 			out = append(out, l)
 		}
@@ -216,40 +228,69 @@ func (n *LiveNode) gcHoldLocked(h *remoteHold) {
 	}
 }
 
-// fwdGroup is the slice of one write's pages destined for one partner
-// link during forward planning.
+// fwdPlan groups one request's pages by live owner link and collects the
+// down owners of each page. A plan is reused across requests (writes keep
+// one in their pooled scratch, discards take one from fwdPlanPool), so
+// planning allocates nothing once its slices have grown: groups are found
+// by a linear scan — a page has at most Replicas owners, and a request
+// rarely spans more than a couple of erase blocks.
+type fwdPlan struct {
+	groups []fwdGroup
+	owners []*peerLink
+	// targets maps each page with a down owner to those owners (nil while
+	// every owner is live); its journal must record the write-through.
+	targets map[int64][]*peerLink
+}
+
+var fwdPlanPool = sync.Pool{New: func() any { return new(fwdPlan) }}
+
+// fwdGroup is the slice of one request's pages destined for one live
+// owner link.
 type fwdGroup struct {
 	link *peerLink
-	idxs []int // page indexes into the write's lpns/stamps/data
+	idxs []int // page indexes into the request's lpns/stamps/data
 	err  error
 }
 
-// finalize materializes the group's wire slices. When the group covers
-// the whole write (always with one partner, and the common case of a
-// write within one erase block) the caller's slices ride through zero-copy;
-// a split write copies its pages into a contiguous buffer per group.
-func (g *fwdGroup) finalize(lpns []int64, stamps []uint64, data []byte, ps int) ([]int64, []uint64, []byte) {
-	if len(g.idxs) == len(lpns) {
-		return lpns, stamps, data
+// group returns l's group in the plan, starting a new one (reusing a
+// previous request's index slice) on l's first page.
+func (p *fwdPlan) group(l *peerLink) *fwdGroup {
+	for i := range p.groups {
+		if p.groups[i].link == l {
+			return &p.groups[i]
+		}
 	}
-	gl := make([]int64, len(g.idxs))
-	gs := make([]uint64, len(g.idxs))
-	gd := make([]byte, len(g.idxs)*ps)
-	for i, idx := range g.idxs {
-		gl[i] = lpns[idx]
-		gs[i] = stamps[idx]
-		copy(gd[i*ps:(i+1)*ps], data[idx*ps:(idx+1)*ps])
+	if len(p.groups) < cap(p.groups) {
+		p.groups = p.groups[:len(p.groups)+1]
+	} else {
+		p.groups = append(p.groups, fwdGroup{})
 	}
-	return gl, gs, gd
+	g := &p.groups[len(p.groups)-1]
+	g.link, g.idxs, g.err = l, g.idxs[:0], nil
+	return g
 }
 
-// planForward groups a write's pages by live owner link and collects, per
-// page, the down owners whose journal must record the write-through.
-// Pages with at least one down owner force the degraded path for the
-// whole request (conservative).
-func (n *LiveNode) planForward(rs *ringState, lpns []int64) (groups []*fwdGroup, targets map[int64][]*peerLink) {
-	byLink := make(map[*peerLink]*fwdGroup, 1)
-	var owners []*peerLink
+// gather returns the elements of s at a group's page indexes, each page
+// spanning w elements. A group covering every page gets s itself — always
+// with one partner, and the common case of a request within one erase
+// block — so only a request split across owners copies.
+func gather[T any](s []T, idxs []int, w int) []T {
+	if s == nil || len(idxs)*w == len(s) {
+		return s
+	}
+	out := make([]T, 0, len(idxs)*w)
+	for _, i := range idxs {
+		out = append(out, s[i*w:(i+1)*w]...)
+	}
+	return out
+}
+
+// planForward groups a request's pages by live owner link into p and
+// collects, per page, the down owners in p.targets. A write with any
+// down owner takes the degraded path as a whole (conservative); a
+// discard skips them.
+func (n *LiveNode) planForward(rs *ringState, lpns []int64, p *fwdPlan) {
+	p.groups, p.targets = p.groups[:0], nil
 	lastBlock := int64(-1 << 62)
 	haveBlock := false
 	for i, lpn := range lpns {
@@ -258,65 +299,42 @@ func (n *LiveNode) planForward(rs *ringState, lpns []int64) (groups []*fwdGroup,
 			block--
 		}
 		if !haveBlock || block != lastBlock {
-			owners = rs.ownerLinks(owners[:0], lpn, n.ppb)
+			p.owners = rs.ownerLinks(p.owners[:0], lpn, n.ppb)
 			lastBlock, haveBlock = block, true
 		}
-		for _, l := range owners {
+		for _, l := range p.owners {
 			if l.alive.Load() {
-				g := byLink[l]
-				if g == nil {
-					g = &fwdGroup{link: l}
-					byLink[l] = g
-					groups = append(groups, g)
-				}
+				g := p.group(l)
 				g.idxs = append(g.idxs, i)
-			} else {
-				if targets == nil {
-					targets = make(map[int64][]*peerLink)
-				}
-				targets[lpn] = append(targets[lpn], l)
+				continue
 			}
+			if p.targets == nil {
+				p.targets = make(map[int64][]*peerLink)
+			}
+			p.targets[lpn] = append(p.targets[lpn], l)
 		}
 	}
-	return groups, targets
+	clear(p.owners)
 }
 
 // enqueueDiscardRouted fans an advisory discard out to the live owner
-// links of each page, grouped per owner so every partner only hears about
-// backups it actually holds.
+// links of each page, grouped per owner through a forward plan so every
+// partner only hears about backups it actually holds. The slices ride in
+// the queued entries: callers hand over freshly built ones.
 func (n *LiveNode) enqueueDiscardRouted(lpns []int64, stamps []uint64, strms []stream.Stream) {
 	rs := n.rs.Load()
 	if rs == nil {
 		return
 	}
-	type group struct {
-		lpns   []int64
-		stamps []uint64
-		strms  []stream.Stream
+	p := fwdPlanPool.Get().(*fwdPlan)
+	n.planForward(rs, lpns, p)
+	for i := range p.groups {
+		g := &p.groups[i]
+		g.link.enqueueDiscard(gather(lpns, g.idxs, 1), gather(stamps, g.idxs, 1), gather(strms, g.idxs, 1))
+		g.link = nil
 	}
-	byLink := make(map[*peerLink]*group, 1)
-	var owners []*peerLink
-	for i, lpn := range lpns {
-		owners = rs.ownerLinks(owners[:0], lpn, n.ppb)
-		for _, l := range owners {
-			if !l.alive.Load() {
-				continue
-			}
-			g := byLink[l]
-			if g == nil {
-				g = &group{}
-				byLink[l] = g
-			}
-			g.lpns = append(g.lpns, lpn)
-			g.stamps = append(g.stamps, stamps[i])
-			if strms != nil {
-				g.strms = append(g.strms, strms[i])
-			}
-		}
-	}
-	for l, g := range byLink {
-		l.enqueueDiscard(g.lpns, g.stamps, g.strms)
-	}
+	p.targets = nil
+	fwdPlanPool.Put(p)
 }
 
 // applyLinkAction executes the side effect a link's lifecycle event

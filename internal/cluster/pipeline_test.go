@@ -108,11 +108,11 @@ func TestPeerClientOutOfOrderResponses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := p.wait(c1)
+		r1, err := p.waitT(c1, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := p.wait(c2)
+		r2, err := p.waitT(c2, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

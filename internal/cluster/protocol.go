@@ -155,7 +155,12 @@ func (m *Message) bodyLen(dataLen int) int {
 	return n
 }
 
-// Unmarshal decodes a message body produced by Marshal.
+// Unmarshal decodes a message body produced by Marshal. It decodes in
+// place: LPNs and Stamps reuse their capacity, Data aliases buf, and
+// Origin keeps its previous string when the bytes are unchanged, so
+// decoding a stream of frames into one Message allocates nothing on the
+// forward/ack path. Empty counts decode to empty non-nil slices; Members
+// and Streams (rare frames) are freshly allocated whenever present.
 func (m *Message) Unmarshal(buf []byte) error {
 	r := reader{buf: buf}
 	t, err := r.u8()
@@ -173,7 +178,7 @@ func (m *Message) Unmarshal(buf []byte) error {
 	if int(nl)*8 > len(r.buf)-r.off {
 		return fmt.Errorf("%w: lpn count %d exceeds frame", ErrBadFrame, nl)
 	}
-	m.LPNs = make([]int64, nl)
+	m.LPNs = resize(m.LPNs, int(nl))
 	for i := range m.LPNs {
 		v, err := r.u64()
 		if err != nil {
@@ -188,7 +193,7 @@ func (m *Message) Unmarshal(buf []byte) error {
 	if int(ns)*8 > len(r.buf)-r.off {
 		return fmt.Errorf("%w: stamp count %d exceeds frame", ErrBadFrame, ns)
 	}
-	m.Stamps = make([]uint64, ns)
+	m.Stamps = resize(m.Stamps, int(ns))
 	for i := range m.Stamps {
 		if m.Stamps[i], err = r.u64(); err != nil {
 			return err
@@ -218,7 +223,9 @@ func (m *Message) Unmarshal(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	m.Err = string(eb)
+	if string(eb) != m.Err {
+		m.Err = string(eb)
+	}
 	nt, err := r.u32()
 	if err != nil {
 		return err
@@ -255,7 +262,9 @@ func (m *Message) Unmarshal(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	m.Origin = string(ob)
+	if string(ob) != m.Origin {
+		m.Origin = string(ob)
+	}
 	nm, err := r.u16()
 	if err != nil {
 		return err
@@ -282,6 +291,16 @@ func (m *Message) Unmarshal(buf []byte) error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(r.buf)-r.off)
 	}
 	return nil
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The result is never nil, so an empty count decodes the
+// same whether or not s was.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n || s == nil {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 type reader struct {

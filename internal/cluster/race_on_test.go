@@ -1,0 +1,7 @@
+//go:build race
+
+package cluster
+
+// raceEnabled reports a -race build, whose instrumentation allocates on
+// its own and so voids allocation ceilings.
+const raceEnabled = true

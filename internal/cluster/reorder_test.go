@@ -18,8 +18,6 @@ func bareNode(t *testing.T) *LiveNode {
 		t.Fatal(err)
 	}
 	n := &LiveNode{dev: dev, pageSize: dev.PageSize(), remoteBudget: 128}
-	ps := dev.PageSize()
-	n.pagePool.New = func() any { return make([]byte, ps) }
 	return n
 }
 
@@ -119,7 +117,7 @@ func TestTaggedDiscardReorder(t *testing.T) {
 					msgs[0], msgs[1] = msgs[1], msgs[0]
 				}
 				for _, m := range msgs {
-					if resp := n.handle(m); resp.Type == MsgError {
+					if resp := n.handle(m, new(Message)); resp.Type == MsgError {
 						t.Fatalf("%s: handler rejected %v: %s", ord.name, m.Type, resp.Err)
 					}
 				}
@@ -155,7 +153,7 @@ func TestTaggedDiscardMatchesUntagged(t *testing.T) {
 			Stamps: []uint64{10, 2, 7, 5},
 			Data:   bytes.Repeat([]byte{0x33}, len(lpns)*ps),
 			Origin: testOrigin,
-		}); resp.Type == MsgError {
+		}, new(Message)); resp.Type == MsgError {
 			t.Fatalf("load: %s", resp.Err)
 		}
 		return n
@@ -167,8 +165,8 @@ func TestTaggedDiscardMatchesUntagged(t *testing.T) {
 		Pressure: 0.9,
 	}
 	plain, strm := load(t), load(t)
-	plain.handle(overWire(t, discard))
-	strm.handle(overWire(t, tagged))
+	plain.handle(overWire(t, discard), new(Message))
+	strm.handle(overWire(t, tagged), new(Message))
 
 	for _, lpn := range lpns {
 		_, pStamp, pHave := heldBackup(plain, lpn)

@@ -92,14 +92,12 @@ func (r *Ring) Replicas() int { return r.replicas }
 // The walk is deterministic — same ring, same key, same owners — and
 // consults only the point table, so it is safe from any goroutine.
 func (r *Ring) Owners(key uint64, exclude string) []string {
-	owners := make([]string, 0, r.replicas)
-	r.appendOwners(&owners, key, exclude)
-	return owners
+	return r.appendOwners(make([]string, 0, r.replicas), key, exclude)
 }
 
-// appendOwners is Owners without the allocation, for hot-path callers
-// that reuse a scratch slice.
-func (r *Ring) appendOwners(out *[]string, key uint64, exclude string) {
+// appendOwners is Owners appending to out, for hot-path callers that
+// reuse a scratch slice.
+func (r *Ring) appendOwners(out []string, key uint64, exclude string) []string {
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	n := len(r.points)
 	var taken [ringMaxInlineMembers]bool
@@ -107,7 +105,7 @@ func (r *Ring) appendOwners(out *[]string, key uint64, exclude string) {
 	if len(r.members) > ringMaxInlineMembers {
 		takenMap = make(map[int32]bool, r.replicas)
 	}
-	for i := 0; i < n && len(*out) < r.replicas; i++ {
+	for i := 0; i < n && len(out) < r.replicas; i++ {
 		p := r.points[(start+i)%n]
 		m := r.members[p.member]
 		if m == exclude {
@@ -124,8 +122,9 @@ func (r *Ring) appendOwners(out *[]string, key uint64, exclude string) {
 			}
 			taken[p.member] = true
 		}
-		*out = append(*out, m)
+		out = append(out, m)
 	}
+	return out
 }
 
 // ringMaxInlineMembers bounds the stack-allocated dedup bitmap in

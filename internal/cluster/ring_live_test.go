@@ -183,7 +183,7 @@ func TestEpochFence(t *testing.T) {
 	ps := n.pageSize
 	fwd := &Message{Type: MsgWriteFwd, Seq: 1, LPNs: []int64{7}, Stamps: []uint64{3},
 		Data: page(0x11, ps), Origin: testOrigin, Epoch: 1}
-	if resp := n.handle(overWire(t, fwd)); resp.Type != MsgWriteAck {
+	if resp := n.handle(overWire(t, fwd), new(Message)); resp.Type != MsgWriteAck {
 		t.Fatalf("unconfigured node answered an epoch-1 forward with %v %q", resp.Type, resp.Err)
 	}
 	if pg, st, ok := heldBackup(n, 7); !ok || st != 3 || !bytes.Equal(pg, page(0x11, ps)) {
@@ -196,7 +196,7 @@ func TestEpochFence(t *testing.T) {
 		{Type: MsgResync, Seq: 3, LPNs: []int64{8}, Stamps: []uint64{9}, Data: page(0x22, ps), Origin: testOrigin},
 		{Type: MsgDiscard, Seq: 4, LPNs: []int64{7}, Stamps: []uint64{9}, Origin: testOrigin},
 	} {
-		if resp := n.handle(overWire(t, m)); resp.Type != MsgError {
+		if resp := n.handle(overWire(t, m), new(Message)); resp.Type != MsgError {
 			t.Fatalf("epoch-0 %v accepted by an epoch-1 member: %v", m.Type, resp.Type)
 		}
 	}

@@ -188,7 +188,7 @@ func TestRecoveryRepairsCorruptSkipsStale(t *testing.T) {
 		LPNs:   []int64{lpnX, lpnY},
 		Stamps: []uint64{stX, stY - 1},
 		Data:   append(page(0x33, ps), page(0x44, ps)...),
-		Origin: a1.Addr()}); resp.Type != MsgWriteAck {
+		Origin: a1.Addr()}, new(Message)); resp.Type != MsgWriteAck {
 		t.Fatalf("hold seeding answered %v", resp.Type)
 	}
 

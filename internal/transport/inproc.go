@@ -169,18 +169,20 @@ func newConn(local, remote addrT, rd <-chan []byte, wr chan<- []byte) *conn {
 	return &conn{local: local, remote: remote, rd: rd, wr: wr, done: make(chan struct{})}
 }
 
+// expired reports whether a set deadline has already passed.
+func expired(dl time.Time) bool {
+	return !dl.IsZero() && !time.Now().Before(dl)
+}
+
 // deadlineTimer turns a deadline into a channel: nil (never fires) when
-// unset, an already-expired errCh when past, else a timer.
-func deadlineTimer(dl time.Time) (<-chan time.Time, *time.Timer, error) {
+// unset, else a timer. Operations arm it only once they are about to
+// block, so the common non-blocking case allocates no timer.
+func deadlineTimer(dl time.Time) (<-chan time.Time, *time.Timer) {
 	if dl.IsZero() {
-		return nil, nil, nil
+		return nil, nil
 	}
-	d := time.Until(dl)
-	if d <= 0 {
-		return nil, nil, os.ErrDeadlineExceeded
-	}
-	t := time.NewTimer(d)
-	return t.C, t, nil
+	t := time.NewTimer(time.Until(dl))
+	return t.C, t
 }
 
 func (c *conn) Read(b []byte) (int, error) {
@@ -193,12 +195,8 @@ func (c *conn) Read(b []byte) (int, error) {
 	}
 	dl := c.readDeadline
 	c.mu.Unlock()
-	tc, t, err := deadlineTimer(dl)
-	if err != nil {
-		return 0, &net.OpError{Op: "read", Net: "inproc", Addr: c.local, Err: err}
-	}
-	if t != nil {
-		defer t.Stop()
+	if expired(dl) {
+		return 0, &net.OpError{Op: "read", Net: "inproc", Addr: c.local, Err: os.ErrDeadlineExceeded}
 	}
 	// Drain buffered chunks before honoring a peer close: bytes written
 	// before the close must still be readable, like a TCP FIN.
@@ -206,6 +204,10 @@ func (c *conn) Read(b []byte) (int, error) {
 	case chunk := <-c.rd:
 		return c.deliver(b, chunk), nil
 	default:
+	}
+	tc, t := deadlineTimer(dl)
+	if t != nil {
+		defer t.Stop()
 	}
 	select {
 	case chunk := <-c.rd:
@@ -240,12 +242,8 @@ func (c *conn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	dl := c.writeDeadline
 	c.mu.Unlock()
-	tc, t, err := deadlineTimer(dl)
-	if err != nil {
-		return 0, &net.OpError{Op: "write", Net: "inproc", Addr: c.local, Err: err}
-	}
-	if t != nil {
-		defer t.Stop()
+	if expired(dl) {
+		return 0, &net.OpError{Op: "write", Net: "inproc", Addr: c.local, Err: os.ErrDeadlineExceeded}
 	}
 	// Check teardown before racing the buffered send: with room in the
 	// channel both cases are ready and select would pick at random,
@@ -258,6 +256,15 @@ func (c *conn) Write(b []byte) (int, error) {
 	default:
 	}
 	chunk := append([]byte(nil), b...)
+	select {
+	case c.wr <- chunk:
+		return len(b), nil
+	default:
+	}
+	tc, t := deadlineTimer(dl)
+	if t != nil {
+		defer t.Stop()
+	}
 	select {
 	case c.wr <- chunk:
 		return len(b), nil

@@ -53,6 +53,7 @@ CHAOS_SEED=42 go test -race -run 'TestChaosTornWriteRepair' ./internal/cluster/c
 # -fuzzminimizetime is bounded so fresh corpora don't spend the whole
 # budget minimizing their first interesting inputs.
 go test -run '^$' -fuzz '^FuzzReadFrameV2$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
+go test -run '^$' -fuzz '^FuzzReadFrameReuse$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzDecodeMessage$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzDecodeResync$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 go test -run '^$' -fuzz '^FuzzDecodeMembership$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
