@@ -84,14 +84,13 @@ bench-cluster:
 # fsync-on-flush store at 1, 4, and 16 shards, recorded as BENCH_shard.json.
 # Small erase blocks + queue depth 1 keep every rung fsync-bound; the large
 # device keeps simulated GC out of the measurement; each rung reports the
-# median of three reps to ride out host fsync jitter. The sync ladder
-# reruns the widest rung across group-commit sync intervals: -1 disables
-# the coordinator (every evictor pays its own fsync), 0 self-clocks, and
-# the positive rungs hold the pass open to trade latency for batching.
+# median of three reps to ride out host fsync jitter. Each rung's pg/sync
+# column is the group commit's amortization: pages covered per coalesced
+# fsync pass.
 bench-shard:
 	$(GO) run ./cmd/loadgen -shard-scale 1,4,16 -writers 32 -ops 24000 \
 		-buffer 1024 -remote 32768 -evict-queue 1 -ppb 2 -blocks 65536 \
-		-sync-scale=-1,0,0.5,2 -reps 3 -json BENCH_shard.json
+		-reps 3 -json BENCH_shard.json
 	$(GO) run ./cmd/loadgen -stream-scale -writers 8 -ops 60000 -hotfrac 0.7 \
 		-json BENCH_shard.json
 

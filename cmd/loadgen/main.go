@@ -32,12 +32,7 @@
 //
 //	loadgen -shard-scale 1,4,16 [-writers 32] [-ops 24000] [-buffer 1024]
 //	        [-evict-queue 1] [-ppb 2] [-blocks 65536] [-reps 3]
-//	        [-sync-scale -1,0,0.5,2] [-json BENCH_shard.json]
-//
-// -sync-scale adds a second ladder: the largest shard count rerun under
-// each listed group-commit interval (ms; 0 = self-clocking, negative =
-// coordinator disabled), so the fsync-coalescing window's cost/benefit
-// is tracked alongside shard scaling.
+//	        [-json BENCH_shard.json]
 //
 // With -ring-scale the workload becomes a cooperative-ring scaling
 // ladder instead: one rung per listed member count, each a fresh
@@ -154,23 +149,19 @@ type flapResult struct {
 	BreakerTrips  int64   `json:"breaker_trips"`
 }
 
-// shardRun is one rung of the -shard-scale (or -sync-scale) ladder.
+// shardRun is one rung of the -shard-scale ladder.
 type shardRun struct {
-	Shards int `json:"shards"`
-	// SyncIntervalMs is the group-commit linger window this rung ran with:
-	// 0 is the self-clocking default, negative means the coordinator was
-	// disabled (every evictor fsyncs its own section directly).
-	SyncIntervalMs float64 `json:"sync_interval_ms"`
-	Writers        int     `json:"writers"`
-	Ops            int     `json:"ops"`
-	Seconds        float64 `json:"seconds"`
-	WritesPerSec   float64 `json:"writes_per_sec"`
-	P50Ms          float64 `json:"p50_ms"`
-	P95Ms          float64 `json:"p95_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	P999Ms         float64 `json:"p999_ms"`
-	Persists       int64   `json:"persists"`
-	EvictorStalls  int64   `json:"evictor_stalls"`
+	Shards        int     `json:"shards"`
+	Writers       int     `json:"writers"`
+	Ops           int     `json:"ops"`
+	Seconds       float64 `json:"seconds"`
+	WritesPerSec  float64 `json:"writes_per_sec"`
+	P50Ms         float64 `json:"p50_ms"`
+	P95Ms         float64 `json:"p95_ms"`
+	P99Ms         float64 `json:"p99_ms"`
+	P999Ms        float64 `json:"p999_ms"`
+	Persists      int64   `json:"persists"`
+	EvictorStalls int64   `json:"evictor_stalls"`
 	// GroupCommitBatches counts coalesced fsync passes; PagesPerSync is
 	// how many persisted pages each pass covered on average — the group
 	// commit's amortization factor.
@@ -187,9 +178,6 @@ type shardScale struct {
 	// Speedup is writes/sec at the largest shard count over the 1-shard
 	// rung (0 when the ladder does not include 1).
 	Speedup float64 `json:"speedup,omitempty"`
-	// SyncLadder holds the -sync-scale rungs: the largest shard count
-	// rerun under each requested group-commit interval.
-	SyncLadder []shardRun `json:"sync_ladder,omitempty"`
 }
 
 // streamRun is one leg of the -stream-scale A/B: the mixed hot/cold
@@ -299,7 +287,6 @@ func main() {
 		flap        = flag.Int("flap", 0, "run a link-flap drill with this many partition/heal cycles instead of the throughput runs (0 = off)")
 		flapSeed    = flag.Int64("flap-seed", 1, "fault-injector seed for -flap (drills are reproducible per seed)")
 		shardScale  = flag.String("shard-scale", "", "run the eviction-bound shard-scaling ladder over these comma-separated shard counts (e.g. 1,4,16) instead of the throughput runs")
-		syncScale   = flag.String("sync-scale", "", "with -shard-scale: rerun the largest shard count under these comma-separated group-commit intervals in ms (0 = self-clocking, negative = coordinator off), e.g. -1,0,0.5,2")
 		streamBench = flag.Bool("stream-scale", false, "run the mixed hot/cold multi-stream flash-wear A/B (tagged vs -streams=off at equal ops) instead of the throughput runs")
 		ringScaleF  = flag.String("ring-scale", "", "run the cooperative-ring scaling ladder over these comma-separated member counts (e.g. 2,3) instead of the throughput runs; every member takes client writes")
 		victimBench = flag.Bool("victim-scale", false, "run the read-heavy zipfian victim-tier A/B (tier on vs off at equal ops) instead of the throughput runs")
@@ -416,7 +403,7 @@ func main() {
 			printRingScale(rs)
 		}
 		if *shardScale != "" {
-			sc, err := runShardScale(opt, *shardScale, *syncScale)
+			sc, err := runShardScale(opt, *shardScale)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -494,20 +481,6 @@ func printShardScale(sc shardScale) {
 	if sc.Speedup > 0 {
 		fmt.Printf("\n%d-shard/1-shard write throughput: %.2fx\n",
 			sc.Ladder[len(sc.Ladder)-1].Shards, sc.Speedup)
-	}
-	if len(sc.SyncLadder) > 0 {
-		stbl := metrics.Table{
-			Title:   fmt.Sprintf("\nSync-interval ladder (%d shards; negative = group commit off)", sc.SyncLadder[0].Shards),
-			Headers: []string{"sync ms", "writes/s", "p50 ms", "p95 ms", "p99 ms", "p999 ms", "stalls", "pg/sync"},
-		}
-		for _, r := range sc.SyncLadder {
-			stbl.AddRow(r.SyncIntervalMs, r.WritesPerSec,
-				r.P50Ms, r.P95Ms, r.P99Ms, r.P999Ms,
-				fmt.Sprintf("%d", r.EvictorStalls), r.PagesPerSync)
-		}
-		if err := stbl.Render(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
 	}
 }
 
@@ -940,7 +913,7 @@ func runFlap(opt options, cycles int, seed int64) (flapResult, error) {
 // and keeps the median-throughput repetition: a rung lasts only a few
 // seconds, and on shared hosts fsync latency drifts on that same scale,
 // so a single sample can swing a rung by 2x in either direction.
-func runShardScale(opt options, ladder, syncLadder string) (shardScale, error) {
+func runShardScale(opt options, ladder string) (shardScale, error) {
 	var counts []int
 	for _, f := range strings.Split(ladder, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -953,10 +926,10 @@ func runShardScale(opt options, ladder, syncLadder string) (shardScale, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	medianOf := func(shards int, sync time.Duration) (shardRun, error) {
+	medianOf := func(shards int) (shardRun, error) {
 		var runs []shardRun
 		for rep := 0; rep < reps; rep++ {
-			r, err := runShardOnce(opt, shards, sync)
+			r, err := runShardOnce(opt, shards)
 			if err != nil {
 				return shardRun{}, fmt.Errorf("shards=%d: %w", shards, err)
 			}
@@ -968,7 +941,7 @@ func runShardScale(opt options, ladder, syncLadder string) (shardScale, error) {
 	}
 	sc := shardScale{EvictQueue: opt.evictQueue, Reps: reps}
 	for _, shards := range counts {
-		r, err := medianOf(shards, 0)
+		r, err := medianOf(shards)
 		if err != nil {
 			return shardScale{}, err
 		}
@@ -980,24 +953,6 @@ func runShardScale(opt options, ladder, syncLadder string) (shardScale, error) {
 			break
 		}
 	}
-	if syncLadder != "" {
-		shards := counts[len(counts)-1]
-		for _, f := range strings.Split(syncLadder, ",") {
-			ms, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return shardScale{}, fmt.Errorf("bad -sync-scale entry %q", f)
-			}
-			sync := time.Duration(ms * float64(time.Millisecond))
-			if ms < 0 {
-				sync = -time.Millisecond // any negative: coordinator off
-			}
-			r, merr := medianOf(shards, sync)
-			if merr != nil {
-				return shardScale{}, merr
-			}
-			sc.SyncLadder = append(sc.SyncLadder, r)
-		}
-	}
 	return sc, nil
 }
 
@@ -1005,9 +960,7 @@ func runShardScale(opt options, ladder, syncLadder string) (shardScale, error) {
 // throwaway on-disk store with fsync-on-flush, under a working set far
 // larger than the buffer. Every write evicts, so throughput is gated by
 // how many flush streams the shard layer can keep in flight at once.
-// syncInterval is the group-commit linger window (0 self-clocking,
-// negative disables the coordinator).
-func runShardOnce(opt options, shards int, syncInterval time.Duration) (shardRun, error) {
+func runShardOnce(opt options, shards int) (shardRun, error) {
 	dir, err := os.MkdirTemp("", "flashcoop-shard-")
 	if err != nil {
 		return shardRun{}, err
@@ -1042,7 +995,6 @@ func runShardOnce(opt options, shards int, syncInterval time.Duration) (shardRun
 		MaxBatchPages: opt.batch, MaxInflight: opt.inflight,
 		Shards: shards, EvictQueue: opt.evictQueue,
 		DataDir: dir, SyncWrites: true,
-		SyncInterval:   syncInterval,
 		DisableStreams: !opt.streams,
 	})
 	if err != nil {
@@ -1105,10 +1057,9 @@ func runShardOnce(opt options, shards int, syncInterval time.Duration) (shardRun
 	ops := opt.writers * perWriter
 	r := shardRun{
 		Shards: shards, Writers: opt.writers, Ops: ops,
-		SyncIntervalMs: float64(syncInterval) / float64(time.Millisecond),
-		Seconds:        elapsed,
-		WritesPerSec:   float64(ops) / elapsed,
-		P50Ms:          all.P50(), P95Ms: all.P95(), P99Ms: all.P99(), P999Ms: all.P999(),
+		Seconds:      elapsed,
+		WritesPerSec: float64(ops) / elapsed,
+		P50Ms:        all.P50(), P95Ms: all.P95(), P99Ms: all.P99(), P999Ms: all.P999(),
 		Persists:           st.Persists,
 		EvictorStalls:      st.EvictorStalls,
 		GroupCommitBatches: st.GroupCommitBatches,

@@ -456,7 +456,7 @@ func TestChaosCorrupting(t *testing.T) {
 // TestChaosInproc runs the clean-fault script on the in-process channel
 // transport (internal/transport) instead of loopback TCP: the durability
 // invariants must hold on the exact framing code the experiment grid
-// exercises, with the group-commit syncer in its default configuration.
+// exercises.
 func TestChaosInproc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos run skipped in -short mode")

@@ -130,9 +130,9 @@ func (n *LiveNode) enqueueFlush(si int, jobs []flushJob) {
 func (n *LiveNode) evictLoop(si int) {
 	defer n.wg.Done()
 	sh := &n.shards[si]
-	// The sync stage drains even during shutdown (gc.sync fails fast once
-	// n.stop closes), so this send never deadlocks; closing the channel
-	// lets the syncer exit once the last batch completes.
+	// The sync stage drains even during shutdown (syncSection fails fast
+	// once n.stop closes), so this send never deadlocks; closing the
+	// channel lets the syncer exit once the last batch completes.
 	syncq := make(chan persistedBatch, syncStageDepth)
 	var syncWG sync.WaitGroup
 	syncWG.Add(1)
@@ -241,7 +241,7 @@ type persistedBatch struct {
 // keeps serving reads and writes — including reads of the very pages
 // being flushed, out of the inflight map — while the device writes run.
 // The durable-after fsync is NOT part of this stage: the returned batch
-// must go through completeJobs, and nothing is unpinned or discarded
+// must go through completeBatches, and nothing is unpinned or discarded
 // until then.
 func (n *LiveNode) persistJobs(si int, jobs []flushJob) persistedBatch {
 	sh := &n.shards[si]
@@ -377,8 +377,8 @@ func (n *LiveNode) finishBatch(si int, b persistedBatch, ferr error) {
 // shard's pending sync into one pass (see groupcommit.go). syncAfter
 // false skips every sync (including on error paths) — the caller owns
 // the durable-after boundary and must call syncSection itself before
-// treating any returned item as durable; flushJobs uses this to wait for
-// the fsync outside persistMu.
+// treating any returned item as durable; persistJobs uses this so the
+// evictor's sync stage can wait for the fsync outside persistMu.
 //
 // The victim tier's bookkeeping is centralized here because this is the
 // one choke point every durable page mutation on the eviction/flush path

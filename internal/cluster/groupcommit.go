@@ -3,7 +3,6 @@ package cluster
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // groupCommit is the node's fsync coordinator. With SyncWrites on, every
@@ -26,13 +25,12 @@ import (
 // Under load the win is that N shards' evictors pay one coalesced pass
 // (≤ N concurrent fsyncs, shared pass latency) instead of N serialized
 // fsync round trips on the same spindle/flash queue.
+//
+// The coordinator is self-clocking: a pass absorbs whatever queued while
+// the previous pass ran and starts immediately, adding no idle latency.
+// It runs on every node whose store fsyncs (DataDir with SyncWrites).
 type groupCommit struct {
-	// interval > 0 lets a pass linger that long for more requests before
-	// fsyncing (bigger batches, up to that much extra persist latency);
-	// 0 is self-clocking — a pass absorbs whatever queued while the
-	// previous pass ran and starts immediately.
-	interval time.Duration
-	maxBatch int
+	maxBatch int // requests absorbed into one pass
 	reqs     chan syncReq
 	stop     <-chan struct{}
 	stats    *LiveStats
@@ -47,9 +45,8 @@ type syncReq struct {
 	done    chan error
 }
 
-func newGroupCommit(interval time.Duration, maxBatch int, stop <-chan struct{}, stats *LiveStats) *groupCommit {
+func newGroupCommit(maxBatch int, stop <-chan struct{}, stats *LiveStats) *groupCommit {
 	return &groupCommit{
-		interval: interval,
 		maxBatch: maxBatch,
 		reqs:     make(chan syncReq, maxBatch),
 		stop:     stop,
@@ -85,9 +82,9 @@ func (g *groupCommit) sync(sec section, pages int) error {
 }
 
 // run is the coordinator goroutine: gather a batch (first request blocks,
-// then drain everything queued, then optionally linger for interval),
-// dispatch the pass, repeat. The gather overlaps the previous pass's sync
-// — while pass P's fsyncs are in flight, arriving requests accumulate
+// then drain everything queued), dispatch the pass, repeat. The gather
+// overlaps the previous pass's sync — while pass P's fsyncs are in
+// flight, arriving requests accumulate
 // into pass P+1 instead of dispatching one thin pass each. That in-flight
 // window is what creates real batches under steady load: a sync takes a
 // device round trip, many evictors land requests inside it, and the next
@@ -152,26 +149,6 @@ func (g *groupCommit) run(wg *sync.WaitGroup) {
 			default:
 			}
 			break
-		}
-		if g.interval > 0 && len(batch) < g.maxBatch {
-			t := time.NewTimer(g.interval)
-		gather:
-			for len(batch) < g.maxBatch {
-				select {
-				case r := <-g.reqs:
-					batch = append(batch, r)
-				case <-t.C:
-					break gather
-				case <-g.stop:
-					t.Stop()
-					for _, r := range batch {
-						r.done <- errNodeClosing
-					}
-					g.drainFailed()
-					return
-				}
-			}
-			t.Stop()
 		}
 		inflight = append(inflight, g.pass(batch))
 	}

@@ -32,7 +32,7 @@ func TestGroupCommitCompletesWaiters(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	var stats LiveStats
-	gc := newGroupCommit(0, 16, stop, &stats)
+	gc := newGroupCommit(16, stop, &stats)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go gc.run(&wg)
@@ -75,37 +75,6 @@ func TestGroupCommitCompletesWaiters(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces checks that requests for one section pending
-// at the same time share fsync passes instead of each paying its own:
-// with an interval window holding the pass open, N waiters must complete
-// with far fewer than N flushes.
-func TestGroupCommitCoalesces(t *testing.T) {
-	stop := make(chan struct{})
-	defer close(stop)
-	var stats LiveStats
-	gc := newGroupCommit(20*time.Millisecond, 64, stop, &stats)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go gc.run(&wg)
-
-	sec := &flushCountStore{}
-	const waiters = 16
-	var callers sync.WaitGroup
-	for i := 0; i < waiters; i++ {
-		callers.Add(1)
-		go func() {
-			defer callers.Done()
-			if err := gc.sync(sec, 1); err != nil {
-				t.Errorf("sync: %v", err)
-			}
-		}()
-	}
-	callers.Wait()
-	if got := sec.flushes.Load(); got >= waiters/2 {
-		t.Fatalf("%d flushes for %d coalescable waiters; the pass is not batching", got, waiters)
-	}
-}
-
 // slowFlushStore stretches each flush so passes overlap queued requests.
 type slowFlushStore struct {
 	flushCountStore
@@ -118,13 +87,13 @@ func (s *slowFlushStore) flush() error {
 }
 
 // TestGroupCommitSelfClockedCoalesces checks the in-flight window batches
-// without an interval: while one pass's slow sync runs, arriving requests
+// with no idle wait: while one pass's slow sync runs, arriving requests
 // gather into the next pass instead of each dispatching its own.
 func TestGroupCommitSelfClockedCoalesces(t *testing.T) {
 	stop := make(chan struct{})
 	defer close(stop)
 	var stats LiveStats
-	gc := newGroupCommit(0, 64, stop, &stats)
+	gc := newGroupCommit(64, stop, &stats)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go gc.run(&wg)
@@ -152,7 +121,7 @@ func TestGroupCommitSelfClockedCoalesces(t *testing.T) {
 func TestGroupCommitStop(t *testing.T) {
 	stop := make(chan struct{})
 	var stats LiveStats
-	gc := newGroupCommit(0, 4, stop, &stats)
+	gc := newGroupCommit(4, stop, &stats)
 	// No run() goroutine: requests queue until the channel fills, exactly
 	// the race a node shutdown can hit.
 	sec := &flushCountStore{}

@@ -95,29 +95,9 @@ type LiveConfig struct {
 	// either way. Only meaningful with DataDir.
 	ScrubInterval time.Duration
 
-	// SyncInterval and MaxSyncBatch tune the group-commit fsync
-	// coordinator (see groupcommit.go; only active with DataDir and
-	// SyncWrites). Evictors no longer fsync their shard section directly:
-	// they enqueue durable-after requests, and one coordinator coalesces
-	// every section with pending requests into a single batched fsync
-	// pass. SyncInterval > 0 lets a pass linger that long to absorb more
-	// sections (larger batches, up to that much added persist latency);
-	// 0 (the default) is self-clocking — a pass takes whatever queued
-	// while the previous pass ran, adding no idle latency. A negative
-	// SyncInterval disables the coordinator entirely (every evictor
-	// fsyncs its own section, the pre-group-commit behavior). MaxSyncBatch
-	// caps the requests absorbed into one pass; default 4×Shards.
-	SyncInterval time.Duration
-	MaxSyncBatch int
-
 	HeartbeatInterval time.Duration // default 500ms
 	FailureThreshold  int           // default 3
-	CallTimeout       time.Duration // default 2s
-	// BulkTimeout bounds the large single-frame transfers — the RCT fetch
-	// and clean of RecoverFromPeer, and each MsgResync chunk — so a hung
-	// partner cannot wedge recovery forever, without tarring a big but
-	// healthy frame with the per-page CallTimeout. Default 5×CallTimeout.
-	BulkTimeout time.Duration
+	CallTimeout       time.Duration // default 2s; bulk transfers get 5× (see bulkTimeout)
 
 	// Overload protection. AdmissionLimit bounds how many Writes may be in
 	// the node at once; a write that cannot be admitted within
@@ -135,13 +115,6 @@ type LiveConfig struct {
 	WriteDeadline    time.Duration
 	BreakerThreshold time.Duration
 	BreakerWindow    int
-
-	// ResyncJournalLimit caps the degraded-write journal (lpn→stamp, so
-	// ~16 bytes/entry) across all shards. Pages dropped beyond the cap are
-	// counted and simply not resynced — they are durable locally and the
-	// stamp guards keep the partner from ever serving a staler version.
-	// Default 262144.
-	ResyncJournalLimit int
 
 	// Replication pipeline knobs. MaxBatchPages caps how many pages the
 	// forwarder group-commits into one MsgWriteFwd frame; MaxInflight caps
@@ -240,9 +213,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	if c.ForwardQueue <= 0 {
 		c.ForwardQueue = 256
 	}
-	if c.BulkTimeout == 0 {
-		c.BulkTimeout = 5 * c.CallTimeout
-	}
 	if c.AdmissionLimit <= 0 {
 		c.AdmissionLimit = 1024
 	}
@@ -254,14 +224,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 	}
 	if c.BreakerWindow <= 0 {
 		c.BreakerWindow = 16
-	}
-	if c.ResyncJournalLimit <= 0 {
-		c.ResyncJournalLimit = 1 << 18
-	}
-	if c.MaxSyncBatch <= 0 {
-		// Room for every shard's evictor plus stragglers (FlushAll,
-		// degraded write-throughs) in one pass.
-		c.MaxSyncBatch = 4 * c.Shards
 	}
 	if c.GCDeferThreshold == 0 {
 		c.GCDeferThreshold = 0.75
@@ -303,7 +265,8 @@ type LiveStats struct {
 	DrainDeferrals   int64 // evictor batches that paused for local GC pressure
 	DiscardDeferrals int64 // discard batches held back for partner GC pressure
 
-	// Group-commit fsync counters (see groupcommit.go).
+	// Group-commit fsync counters (see groupcommit.go), counted only on
+	// nodes whose store fsyncs (DataDir with SyncWrites).
 	GroupCommitBatches int64 // coalesced fsync passes run by the coordinator
 	PagesSynced        int64 // pages covered by those passes (PagesSynced/GroupCommitBatches = pages per sync)
 
@@ -401,7 +364,7 @@ type LiveNode struct {
 	stampCtr atomic.Uint64 // monotonic write stamp; resumes from store.maxStamp()
 	store    *shardedStore // the "SSD" contents (durable medium); internally synchronized
 	victim   *victim.Cache // flash victim-cache tier; nil when disabled
-	gc       *groupCommit  // fsync coordinator; nil when sync writes are off or disabled
+	gc       *groupCommit  // fsync coordinator; nil unless the store fsyncs
 	devMu    sync.Mutex    // serializes the timing/wear model (ssd.Device is not thread-safe)
 	dev      *ssd.Device
 	pageSize int
@@ -594,10 +557,12 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		}
 	}
 	n.pageFree = make(chan []byte, pageFreePages)
-	if cfg.DataDir != "" && cfg.SyncWrites && cfg.SyncInterval >= 0 {
+	if cfg.DataDir != "" && cfg.SyncWrites {
 		// The coordinator lives on n.stop, which Close only fires after
-		// FlushAll — so shutdown-path persists still group-commit.
-		n.gc = newGroupCommit(cfg.SyncInterval, cfg.MaxSyncBatch, n.stop, &n.stats)
+		// FlushAll — so shutdown-path persists still group-commit. A pass
+		// has room for every shard's evictor plus stragglers (FlushAll,
+		// degraded write-throughs).
+		n.gc = newGroupCommit(4*cfg.Shards, n.stop, &n.stats)
 		n.wg.Add(1)
 		go n.gc.run(&n.wg)
 	}
@@ -624,19 +589,36 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 }
 
 // syncSection makes the store section holding anchor durable, covering at
-// least every put that preceded the call. With the group-commit
-// coordinator running, the request coalesces with every other pending
-// section sync into one batched fsync pass; otherwise it degrades to the
-// direct per-section flush. Only the one section is synced: a persist
-// batch always stays within one shard, and syncing the sibling sections
-// too would convoy every evictor's fsync stream on every other's.
+// least every put that preceded the call; pages is how many pages the
+// caller's puts covered (accounting only). On a node whose store fsyncs,
+// the request goes through the group-commit coordinator and coalesces
+// with every other pending section sync into one batched pass. Only the
+// one section is synced: a persist batch always stays within one shard,
+// and syncing the sibling sections too would convoy every evictor's fsync
+// stream on every other's.
+//
+// Once n.stop has closed the sync fails fast with errNodeClosing, without
+// touching the file: the caller counts a persist failure and keeps its
+// pages pinned, so the sync stages still draining after a Crash flush
+// nothing.
 func (n *LiveNode) syncSection(anchor int64, pages int) error {
+	select {
+	case <-n.stop:
+		return errNodeClosing
+	default:
+	}
 	sec := n.store.sub(anchor)
 	if n.gc != nil {
 		return n.gc.sync(sec, pages)
 	}
 	return sec.flush()
 }
+
+// bulkTimeout bounds the large single-frame transfers — the RCT fetch and
+// clean of RecoverFromPeer, repair fetches, membership pushes and each
+// MsgResync chunk — so a hung partner cannot wedge them forever, without
+// tarring a big but healthy frame with the per-page CallTimeout.
+func (n *LiveNode) bulkTimeout() time.Duration { return 5 * n.cfg.CallTimeout }
 
 // pageFreePages bounds the page free list: enough to absorb the churn of
 // a flush unit or a discard frame, small enough (512 KiB of 4 KB pages)
@@ -759,7 +741,7 @@ func (n *LiveNode) Stats() LiveStats {
 		PoisonedEvictions:  atomic.LoadInt64(&n.stats.PoisonedEvictions),
 	}
 	if n.victim != nil {
-		vs := n.victim.Stats()
+		vs, fs := n.victim.Snapshot()
 		s.VictimHits = vs.Hits
 		s.VictimMisses = vs.Misses
 		s.VictimAdmits = vs.Admits
@@ -768,7 +750,6 @@ func (n *LiveNode) Stats() LiveStats {
 		s.VictimGhostAdmits = vs.GhostAdmits
 		s.VictimFillAdmits = vs.FillAdmits
 		s.VictimInvalidates = vs.Invalidates
-		fs := n.victim.FlashStats()
 		s.VictimPrograms = fs.Programs
 		s.VictimErases = fs.Erases
 	}
@@ -1503,7 +1484,7 @@ func (n *LiveNode) RecoverFromPeer() error {
 func (n *LiveNode) recoverFromLink(l *peerLink) error {
 	// The RCT fetch moves the holder's whole remote buffer in one frame;
 	// budget it as a bulk transfer, not a per-page call.
-	resp, err := l.client.callT(&Message{Type: MsgFetchRCT, Origin: n.selfID}, n.cfg.BulkTimeout)
+	resp, err := l.client.callT(&Message{Type: MsgFetchRCT, Origin: n.selfID}, n.bulkTimeout())
 	if err != nil {
 		return err
 	}
@@ -1574,7 +1555,7 @@ func (n *LiveNode) recoverFromLink(l *peerLink) error {
 	if err := n.store.flush(); err != nil {
 		return err
 	}
-	_, err = l.client.callT(&Message{Type: MsgCleanRemote, Origin: n.selfID}, n.cfg.BulkTimeout)
+	_, err = l.client.callT(&Message{Type: MsgCleanRemote, Origin: n.selfID}, n.bulkTimeout())
 	return err
 }
 

@@ -101,13 +101,14 @@ func TestInprocPairConcurrent(t *testing.T) {
 	}
 }
 
-// TestInprocPairGroupCommit runs the pair with a durable, group-committed
-// store: writes must push batches through the sync coordinator (the
-// counters prove the coalesced path ran, pages-per-sync ≥ 1) and survive
-// a close/reopen of the store directory.
+// TestInprocPairGroupCommit runs the pair with a durable, fsyncing store:
+// evictions must settle through the coordinator's passes
+// (GroupCommitBatches counts them, PagesSynced the pages they covered, at
+// least one page each), while the partner, whose store does not fsync,
+// counts none.
 func TestInprocPairGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := inprocPair(t, func(cfg *LiveConfig) {
+	a, b := inprocPair(t, func(cfg *LiveConfig) {
 		if cfg.Name == "a" {
 			cfg.BufferPages = 16 // tiny buffer: every write evicts
 			cfg.Shards = 4
@@ -132,5 +133,8 @@ func TestInprocPairGroupCommit(t *testing.T) {
 	st := a.Stats()
 	if st.PagesSynced < st.GroupCommitBatches {
 		t.Fatalf("pages per sync below 1: %d pages over %d batches", st.PagesSynced, st.GroupCommitBatches)
+	}
+	if bs := b.Stats(); bs.GroupCommitBatches != 0 || bs.PagesSynced != 0 {
+		t.Fatalf("non-fsyncing partner counted syncs: %d syncs, %d pages", bs.GroupCommitBatches, bs.PagesSynced)
 	}
 }

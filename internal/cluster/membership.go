@@ -249,7 +249,7 @@ func (n *LiveNode) ProposeMembership(members []string) (uint64, error) {
 		// message, and a timed-out call's frame may still be on its way
 		// out of the previous link's send queue.
 		msg := &Message{Type: MsgMembership, Epoch: epoch, Members: members, Origin: n.selfID}
-		resp, err := l.client.callT(msg, n.cfg.BulkTimeout)
+		resp, err := l.client.callT(msg, n.bulkTimeout())
 		if err == nil && resp.Type != MsgMembershipAck && resp.Type != MsgError {
 			err = fmt.Errorf("cluster: unexpected membership response %v", resp.Type)
 		}

@@ -756,6 +756,13 @@ func (s *fileStore) flush() error {
 	s.mu.Unlock()
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
+	// A sync that failed while this caller waited for syncMu poisoned the
+	// section. Its pages may have been lost with that failure, and a retry
+	// that succeeds would not bring them back, so it must not report them
+	// durable.
+	if s.poisonFlag.Load() {
+		return s.poisonErr()
+	}
 	if s.synced >= target {
 		return nil
 	}

@@ -16,13 +16,19 @@ const probeBaseDelay = 20 * time.Millisecond
 // outpacing the stream must not pin the link in Resyncing forever.
 const maxResyncPasses = 8
 
+// resyncJournalLimit caps each link's degraded-write journal (lpn→stamp,
+// ~16 bytes an entry). Pages dropped beyond it are counted in JournalDrops
+// and simply not resynced — they are durable locally and the stamp guards
+// keep the partner from ever serving a staler version.
+const resyncJournalLimit = 1 << 18
+
 // journalLinkLocked records one degraded write-through for later resync
 // to the given partner. Caller holds n.mu — the mutex makes the insert
 // atomic with respect to that link's resync stream's "journal empty →
 // flip Healthy" critical section, so no degraded write can slip in
 // unjournaled behind the flip. The journal is a set keyed by LPN (the
 // stream sends the page's latest durable payload, so overwrites
-// coalesce); past the configured cap new pages are dropped and counted —
+// coalesce); past resyncJournalLimit new pages are dropped and counted —
 // they stay durable locally and the stamp guards keep the partner from
 // serving older data, the cluster just loses the warm backup for them.
 func (n *LiveNode) journalLinkLocked(l *peerLink, lpn int64, st uint64) {
@@ -35,7 +41,7 @@ func (n *LiveNode) journalLinkLocked(l *peerLink, lpn int64, st uint64) {
 		}
 		return
 	}
-	if len(l.outage) >= n.cfg.ResyncJournalLimit {
+	if len(l.outage) >= resyncJournalLimit {
 		atomic.AddInt64(&n.stats.JournalDrops, 1)
 		return
 	}
@@ -274,7 +280,7 @@ func (l *peerLink) sendJournalPass(ps int) error {
 			Origin: n.selfID,
 			Epoch:  epoch,
 		}
-		resp, err := l.client.callT(msg, n.cfg.BulkTimeout)
+		resp, err := l.client.callT(msg, n.bulkTimeout())
 		if err == nil && resp.Type != MsgResyncAck {
 			err = fmt.Errorf("cluster: unexpected resync response %v", resp.Type)
 		}
@@ -329,7 +335,7 @@ func (l *peerLink) requeueJournal(lpns []int64, stamps []uint64) {
 			if stamps[i] > cur {
 				l.outage[lpn] = stamps[i]
 			}
-		} else if len(l.outage) >= n.cfg.ResyncJournalLimit {
+		} else if len(l.outage) >= resyncJournalLimit {
 			atomic.AddInt64(&n.stats.JournalDrops, 1)
 		} else {
 			l.outage[lpn] = stamps[i]

@@ -202,7 +202,7 @@ func (n *LiveNode) repairPages(lpns []int64) {
 		if !l.alive.Load() {
 			continue
 		}
-		resp, err := l.client.callT(&Message{Type: MsgRepair, LPNs: lpns, Origin: n.selfID}, n.cfg.BulkTimeout)
+		resp, err := l.client.callT(&Message{Type: MsgRepair, LPNs: lpns, Origin: n.selfID}, n.bulkTimeout())
 		if err != nil || resp.Type != MsgRepairResp {
 			continue
 		}

@@ -112,6 +112,64 @@ func TestVictimReadPath(t *testing.T) {
 	}
 }
 
+// TestVictimStatsSnapshot: while a writer churns evictions into the tier,
+// every Stats snapshot shows VictimPrograms == VictimAdmits. Both come
+// from one snapshot of the tier, so no Offer can land between them.
+func TestVictimStatsSnapshot(t *testing.T) {
+	a, _ := victimPair(t)
+	ps := a.Device().PageSize()
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 4*ps)
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// The churnHotWrites pattern, cycled: half-block writes issued
+			// twice so each block evicts Warm with reuse and is admitted.
+			blk := i % 150
+			for k := range buf {
+				buf[k] = byte(blk)
+			}
+			for pass := 0; pass < 2; pass++ {
+				if err := a.Write(blk*8, buf); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	const wantAdmits = 4000
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		st := a.Stats()
+		if st.VictimPrograms != st.VictimAdmits {
+			t.Fatalf("torn snapshot: VictimPrograms = %d, VictimAdmits = %d", st.VictimPrograms, st.VictimAdmits)
+		}
+		if st.VictimAdmits >= wantAdmits || time.Now().After(deadline) {
+			if st.VictimAdmits == 0 {
+				t.Fatal("no victim admits during churn")
+			}
+			break
+		}
+		select {
+		case err := <-errc:
+			t.Fatal(err)
+		default:
+		}
+	}
+}
+
 // TestVictimCoherenceAfterRewrite: a page admitted to the tier, then
 // rewritten and re-evicted, must never serve the superseded payload.
 func TestVictimCoherenceAfterRewrite(t *testing.T) {

@@ -67,7 +67,7 @@ type Config struct {
 	Log faultfs.File
 }
 
-// Stats counts cache activity. Snapshot via Cache.Stats.
+// Stats counts cache activity. Snapshot via Cache.Snapshot.
 type Stats struct {
 	Hits        int64 // GetInto calls served from the log
 	Misses      int64 // GetInto calls that found nothing
@@ -168,13 +168,6 @@ func (c *Cache) Len() int {
 	return len(c.idx)
 }
 
-// Stats snapshots the counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
 // FlashStats snapshots the tier's own flash counters (programs, erases,
 // GC copies — the latter provably zero). The write-amp a deployment
 // charges to the tier is exactly Programs here.
@@ -182,6 +175,16 @@ func (c *Cache) FlashStats() flash.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.arr.Stats()
+}
+
+// Snapshot returns the counters and the flash counters (as FlashStats)
+// taken under one lock hold, so counters that move together stay
+// consistent: every admit is exactly one flash program, and two separate
+// snapshots would let an Offer land between them.
+func (c *Cache) Snapshot() (Stats, flash.Stats) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats, c.arr.Stats()
 }
 
 // Offer presents one durably-persisting evicted page to the tier. strm is

@@ -82,7 +82,7 @@ func TestAdmissionPolicy(t *testing.T) {
 			if got != c.Contains(lpn) {
 				t.Fatalf("Contains(%d) = %v after admit=%v", lpn, c.Contains(lpn), got)
 			}
-			st := c.Stats()
+			st, _ := c.Snapshot()
 			if got && st.Admits != 1 {
 				t.Fatalf("Admits = %d, want 1", st.Admits)
 			}
@@ -144,7 +144,7 @@ func TestGetMissAndHit(t *testing.T) {
 	if !hit || stamp != 7 || !bytes.Equal(dst, pageData(42)) {
 		t.Fatalf("hit=%v stamp=%d data-ok=%v", hit, stamp, bytes.Equal(dst, pageData(42)))
 	}
-	st := c.Stats()
+	st, _ := c.Snapshot()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("Hits/Misses = %d/%d, want 1/1", st.Hits, st.Misses)
 	}
@@ -161,7 +161,7 @@ func TestInvalidateOlder(t *testing.T) {
 	if c.Contains(5) {
 		t.Fatal("stale entry survived a newer durable version")
 	}
-	if st := c.Stats(); st.Invalidates != 1 {
+	if st, _ := c.Snapshot(); st.Invalidates != 1 {
 		t.Fatalf("Invalidates = %d, want 1", st.Invalidates)
 	}
 }
@@ -241,7 +241,7 @@ func TestSegmentDisciplineInvariant(t *testing.T) {
 			}
 		}
 	}
-	st := c.Stats()
+	st, _ := c.Snapshot()
 	if st.Faults != 0 {
 		t.Fatalf("flash-model faults = %d; the log violated write discipline", st.Faults)
 	}
@@ -299,7 +299,7 @@ func TestWholeSegmentReclaimFeedsGhost(t *testing.T) {
 			t.Fatalf("lpn %d survived whole-segment reclaim", i)
 		}
 	}
-	st := c.Stats()
+	st, _ := c.Snapshot()
 	if st.Evictions != segPages {
 		t.Fatalf("Evictions = %d, want %d", st.Evictions, segPages)
 	}
@@ -307,8 +307,8 @@ func TestWholeSegmentReclaimFeedsGhost(t *testing.T) {
 	if !mustOffer(t, c, 0, 99, stream.Warm, 0) {
 		t.Fatal("ghosted page refused re-admission")
 	}
-	if got := c.Stats().GhostAdmits; got != 1 {
-		t.Fatalf("GhostAdmits = %d, want 1", got)
+	if st, _ := c.Snapshot(); st.GhostAdmits != 1 {
+		t.Fatalf("GhostAdmits = %d, want 1", st.GhostAdmits)
 	}
 }
 
@@ -377,7 +377,7 @@ func TestConcurrentChurn(t *testing.T) {
 		}(int64(w))
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Faults != 0 {
+	if st, _ := c.Snapshot(); st.Faults != 0 {
 		t.Fatalf("Faults = %d under concurrent churn", st.Faults)
 	}
 }
@@ -526,7 +526,7 @@ func TestOfferFillGhostGate(t *testing.T) {
 	if ok, err := c.OfferFill(7, 1, pageData(7)); err != nil || ok {
 		t.Fatalf("resident fill offer: admitted=%v err=%v, want reject", ok, err)
 	}
-	st := c.Stats()
+	st, _ := c.Snapshot()
 	if st.Admits != 1 || st.FillAdmits != 1 {
 		t.Fatalf("admits=%d fillAdmits=%d, want 1/1", st.Admits, st.FillAdmits)
 	}
@@ -554,7 +554,7 @@ func TestSecondChanceBelowFloor(t *testing.T) {
 	if !mustOffer(t, c, 9, 2, stream.Warm, 2) {
 		t.Fatal("repeat warm eviction of a ghosted page rejected: the ghost second chance is gone")
 	}
-	st := c.Stats()
+	st, _ := c.Snapshot()
 	if st.GhostAdmits != 1 {
 		t.Fatalf("ghostAdmits=%d, want 1", st.GhostAdmits)
 	}

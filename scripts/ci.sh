@@ -46,6 +46,10 @@ CHAOS_SEED=42 go test -race -run 'TestChaosMembershipChurn' ./internal/cluster/c
 # crash schedule, the scrub-and-repair convergence, and the poison-latch
 # degrade all replay deterministically from it.
 CHAOS_SEED=42 go test -race -run 'TestChaosTornWriteRepair' ./internal/cluster/check/
+# The same drill on one P: it is the only suite that faults fsyncs, and a
+# single P serializes the evictors' sync stages against the poison latch
+# and the scrubber in orders the host's core count may never produce.
+CHAOS_SEED=42 GOMAXPROCS=1 go test -race -count=1 -run 'TestChaosTornWriteRepair' ./internal/cluster/check/
 
 # Fuzz smoke: a short budget per target catches frame-decoder and trace-
 # parser regressions without benchmark-length time. Each invocation fuzzes
