@@ -116,18 +116,12 @@ bench-victim:
 	$(GO) run ./cmd/loadgen -victim-scale -writers 8 -ops 60000 -reps 3 \
 		-readfrac 0.9 -zipf 1.5 -victim-segments 512 -json BENCH_shard.json
 
-# Rerun the committed ladder and gate against it: fails when any rung's
-# throughput regressed more than 10%. This is the tail of `make ci`;
-# run it alone after perf-sensitive changes.
+# Rerun the committed shard ladder, victim A/B and ring ladder and gate
+# them against BENCH_shard.json and BENCH_cluster.json (see the script for
+# the bounds and the retry rule). This is the tail of `make ci`; run it
+# alone after perf-sensitive changes.
 bench-gate:
-	$(GO) run ./cmd/loadgen -shard-scale 1,4,16 -writers 32 -ops 24000 \
-		-buffer 1024 -remote 32768 -evict-queue 1 -ppb 2 -blocks 65536 \
-		-reps 3 -json /tmp/BENCH_shard.ci.json
-	$(GO) run ./cmd/loadgen -victim-scale -writers 8 -ops 60000 -reps 3 \
-		-readfrac 0.9 -zipf 1.5 -victim-segments 512 -json /tmp/BENCH_shard.ci.json
-	$(GO) run ./cmd/benchgate -committed BENCH_shard.json -current /tmp/BENCH_shard.ci.json
-	$(GO) run ./cmd/loadgen -ring-scale 2,3 -reps 3 -json /tmp/BENCH_cluster.ci.json
-	$(GO) run ./cmd/benchgate -committed BENCH_cluster.json -current /tmp/BENCH_cluster.ci.json
+	GO=$(GO) ./scripts/bench-gate.sh
 
 # Just the grid-backed figures plus the per-cell perf record.
 bench-grid:

@@ -14,7 +14,7 @@
 //	flashcoopd -listen host1:7001 -client :8001 [-peer host2:7002] [-policy lar]
 //	           [-buffer 8192] [-remote 8192] [-recover]
 //	           [-datadir DIR -sync -scrub-interval 1h]
-//	           [-victim-segments 128 -victim-segment-pages 64 -victim-min-reuse 2]
+//	           [-victim-segments 128 -victim-min-reuse 2]
 //	           [-batch 64] [-inflight 4] [-chaos-seed N]
 //
 // A cooperative pair is a 2-member ring: -peer X is -peers X with this
@@ -72,7 +72,6 @@ func main() {
 		evictQ   = flag.Int("evict-queue", 0, "per-shard eviction queue depth (0 = default)")
 		scrubInt = flag.Duration("scrub-interval", 0, "background on-disk checksum scrub period (0 = off; needs -datadir)")
 		victSegs = flag.Int("victim-segments", 0, "flash victim-cache log segments (0 = tier off)")
-		victSegP = flag.Int("victim-segment-pages", 0, "pages per victim-cache segment (0 = the device's erase-block size; needs -victim-segments)")
 		victMinR = flag.Int64("victim-min-reuse", 0, "popularity floor for direct eviction-path victim admission (0 = default; needs -victim-segments)")
 		chaos    = flag.Int64("chaos-seed", 0, "run this node's transport through a seeded fault injector (0 = off); for failure drills, never production")
 	)
@@ -111,14 +110,11 @@ func main() {
 	if *victSegs < 0 || *victSegs == 1 {
 		log.Fatalf("flashcoopd: -victim-segments %d is invalid: want 0 (tier off) or at least 2 segments (one open, one stable)", *victSegs)
 	}
-	if *victSegP < 0 {
-		log.Fatalf("flashcoopd: -victim-segment-pages %d is invalid: want 0 (erase-block size) or a positive page count", *victSegP)
-	}
 	if *victMinR < 0 {
 		log.Fatalf("flashcoopd: -victim-min-reuse %d is invalid: want 0 (default) or a positive popularity floor", *victMinR)
 	}
-	if *victSegs == 0 && (*victSegP > 0 || *victMinR > 0) {
-		log.Fatal("flashcoopd: -victim-segment-pages and -victim-min-reuse need -victim-segments: they tune a tier that is off")
+	if *victSegs == 0 && *victMinR > 0 {
+		log.Fatal("flashcoopd: -victim-min-reuse needs -victim-segments: it tunes a tier that is off")
 	}
 
 	members, err := ringMembers(*listen, *peer, *peers)
@@ -150,9 +146,8 @@ func main() {
 		EvictQueue:    *evictQ,
 		ScrubInterval: *scrubInt,
 
-		VictimSegments:     *victSegs,
-		VictimSegmentPages: *victSegP,
-		AdmissionMinReuse:  *victMinR,
+		VictimSegments:    *victSegs,
+		AdmissionMinReuse: *victMinR,
 	}
 	if *chaos != 0 {
 		// A moderate, framing-preserving schedule: enough latency and

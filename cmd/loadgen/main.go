@@ -290,7 +290,7 @@ func main() {
 		streamBench = flag.Bool("stream-scale", false, "run the mixed hot/cold multi-stream flash-wear A/B (tagged vs -streams=off at equal ops) instead of the throughput runs")
 		ringScaleF  = flag.String("ring-scale", "", "run the cooperative-ring scaling ladder over these comma-separated member counts (e.g. 2,3) instead of the throughput runs; every member takes client writes")
 		victimBench = flag.Bool("victim-scale", false, "run the read-heavy zipfian victim-tier A/B (tier on vs off at equal ops) instead of the throughput runs")
-		victimSegs  = flag.Int("victim-segments", 128, "victim log segments for the -victim-scale on-leg (each VictimSegmentPages pages)")
+		victimSegs  = flag.Int("victim-segments", 128, "victim log segments for the -victim-scale on-leg (one home-device erase block each)")
 		readfrac    = flag.Float64("readfrac", 0.9, "fraction of -victim-scale ops that are reads")
 		zipfS       = flag.Float64("zipf", 1.3, "zipf skew for the -victim-scale block distribution (>1; 0 = uniform)")
 		seed        = flag.Int64("seed", 1, "workload-generator seed for -victim-scale (runs are reproducible per seed)")

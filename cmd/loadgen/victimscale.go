@@ -84,13 +84,13 @@ type victimRun struct {
 // victimScale is the whole -victim-scale section plus the two headline
 // ratios the gate holds.
 type victimScale struct {
-	ReadFrac     float64   `json:"readfrac"`
-	Zipf         float64   `json:"zipf"`
-	SpanBlocks   int64     `json:"span_blocks"`
-	BufferPages  int       `json:"buffer_pages"`
-	Reps         int       `json:"reps"`
-	On           victimRun `json:"on"`
-	Off          victimRun `json:"off"`
+	ReadFrac    float64   `json:"readfrac"`
+	Zipf        float64   `json:"zipf"`
+	SpanBlocks  int64     `json:"span_blocks"`
+	BufferPages int       `json:"buffer_pages"`
+	Reps        int       `json:"reps"`
+	On          victimRun `json:"on"`
+	Off         victimRun `json:"off"`
 	// ReadP99Ratio is off/on read p99: >1 means the tier shortened the
 	// read tail (2 = halved it).
 	ReadP99Ratio float64 `json:"read_p99_ratio,omitempty"`
@@ -227,7 +227,6 @@ func runVictimOnce(opt options, warm, lists [][]victimOp, victimOn bool, segment
 	}
 	if victimOn {
 		cfg.VictimSegments = segments
-		cfg.VictimSegmentPages = victimPPB
 		// Read-heavy mix: hold eviction-path admission to a high reuse bar
 		// (update-churned pages earn a program only via repeat evictions or
 		// the ghost gate) and let the read-miss fill path, which is

@@ -139,8 +139,8 @@ const (
 )
 
 // ErrOverloaded is returned by LiveNode.Write when the bounded admission
-// queue (or the forward pipeline) stays saturated past the configured
-// write deadline; the write was shed, not acknowledged.
+// queue (or the forward pipeline) stays saturated past the node's
+// CallTimeout; the write was shed, not acknowledged.
 var ErrOverloaded = cluster.ErrOverloaded
 
 // ErrSyncPoisoned is returned by LiveNode.Write (and the persistence

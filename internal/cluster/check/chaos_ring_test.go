@@ -58,6 +58,7 @@ func (c *chaosRing) nodeConfig(name, addr, dir string, nw *faultnet.Network) clu
 		EvictQueue:        4,
 		SSD:               chaosSSD(),
 		DataDir:           dir,
+		SyncWrites:        true,
 		Replication:       1,
 		HeartbeatInterval: 25 * time.Millisecond,
 		FailureThreshold:  2,

@@ -115,6 +115,7 @@ func (c *chaosPair) nodeConfig(name, addr, dir string, nw *faultnet.Network) clu
 		EvictQueue:        4,
 		SSD:               chaosSSD(),
 		DataDir:           dir,
+		SyncWrites:        true, // evictions cross the group-commit section fsync
 		HeartbeatInterval: 25 * time.Millisecond,
 		FailureThreshold:  2,
 		CallTimeout:       250 * time.Millisecond,
@@ -469,10 +470,9 @@ func TestChaosInproc(t *testing.T) {
 }
 
 // TestChaosGCThrottled runs the clean-fault script with both nodes'
-// spare pools squeezed so the FTLs report sustained GC pressure, and the
-// defer knobs on a hair trigger (defer at any nonzero pressure, visible
-// backoff window). The drain and discard deferral paths then fire
-// constantly while partitions, crashes, and recoveries run — and the
+// spare pools squeezed so the FTLs report sustained GC pressure past the
+// deferral threshold. The drain and discard deferral paths then fire
+// while partitions, crashes, and recoveries run — and the
 // same durability and discard-safety invariants must hold: deferral may
 // delay flushes and advisory discards, never drop or misorder them.
 func TestChaosGCThrottled(t *testing.T) {
@@ -482,13 +482,11 @@ func TestChaosGCThrottled(t *testing.T) {
 	throttled := func(cfg *cluster.LiveConfig) {
 		// A flash barely larger than the chaos LPN space: the write churn
 		// fills it, simulated GC runs continuously, and the free pool
-		// hovers at the watermarks so GCPressure stays nonzero.
+		// hovers at the watermarks so GCPressure stays high.
 		cfg.SSD = ssd.Config{
 			Scheme: "page",
 			FTL:    ftl.Config{Flash: flash.Small(24, 8), OPRatio: 0.2},
 		}
-		cfg.GCDeferThreshold = 0.01
-		cfg.GCDrainBackoff = 2 * time.Millisecond
 	}
 	st := runChaosOver(t, chaosSeed(t)+300, faultnet.Faults{
 		DelayProb: 0.2,

@@ -34,7 +34,6 @@ func victimNodeConfig(name, addr, dir string, fs faultfs.FS) cluster.LiveConfig 
 	// evictions accumulate and segments seal, small enough that whole-
 	// segment reclamation churns too.
 	cfg.VictimSegments = 8
-	cfg.VictimSegmentPages = 8
 	return cfg
 }
 

@@ -185,10 +185,20 @@ func (n *LiveNode) evictLoop(si int) {
 	}
 }
 
+// GC-aware drain scheduling. At GC pressure of gcDeferThreshold or more,
+// a shard evictor pauses one gcDrainBackoff before a batch (see
+// maybeDeferDrain), and a forwarder holds a below-cap discard-only batch
+// for up to maxDiscardDefers backoffs while its partner reports that
+// pressure.
+const (
+	gcDeferThreshold = 0.75
+	gcDrainBackoff   = 500 * time.Microsecond
+)
+
 // maybeDeferDrain is the evictor's GC-aware drain scheduling: when the
-// local FTL reports pressure at or above the configured threshold AND the
+// local FTL reports pressure at or above gcDeferThreshold AND the
 // shard's eviction queue is under half full (no writer is anywhere near
-// backpressure), the drain pauses for one GCDrainBackoff and donates the
+// backpressure), the drain pauses for one gcDrainBackoff and donates the
 // pause to the device as background-GC budget, so the FTL digests its
 // reclaim debt before the next flush burst lands on it. The deferral is a
 // single bounded pause per batch — never a loop — so the durability lag
@@ -196,18 +206,15 @@ func (n *LiveNode) evictLoop(si int) {
 // shifted by at most one backoff. Backpressure always wins: a filling
 // queue skips the pause entirely.
 func (n *LiveNode) maybeDeferDrain(si int) {
-	if n.cfg.GCDeferThreshold <= 0 || n.cfg.GCDrainBackoff <= 0 {
-		return
-	}
 	sh := &n.shards[si]
 	if len(sh.evictq) > cap(sh.evictq)/2 {
 		return
 	}
-	if n.localGCPressure() < n.cfg.GCDeferThreshold {
+	if n.localGCPressure() < gcDeferThreshold {
 		return
 	}
 	atomic.AddInt64(&n.stats.DrainDeferrals, 1)
-	t := time.NewTimer(n.cfg.GCDrainBackoff)
+	t := time.NewTimer(gcDrainBackoff)
 	defer t.Stop()
 	select {
 	case <-t.C:

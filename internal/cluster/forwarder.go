@@ -183,11 +183,11 @@ func (l *peerLink) forwardLoop(inflight chan struct{}) {
 		// same MaxBatchPages cap as before; correctness never depends on
 		// discard timing — they only free remote buffer space.
 		if discards.pages < n.cfg.MaxBatchPages && discardDefers < maxDiscardDefers &&
-			l.gcPressure() >= n.cfg.GCDeferThreshold && n.cfg.GCDeferThreshold > 0 {
+			l.gcPressure() >= gcDeferThreshold {
 			discardDefers++
 			atomic.AddInt64(&n.stats.DiscardDeferrals, 1)
 			<-inflight // return the slot; nothing is on the wire
-			t := time.NewTimer(n.cfg.GCDrainBackoff)
+			t := time.NewTimer(gcDrainBackoff)
 			select {
 			case e := <-l.fwdq:
 				add(e)
@@ -359,7 +359,7 @@ func (l *peerLink) drainForwardQueue() {
 
 // enqueueForward queues a write backup on this link; its ack arrives on
 // done, which must be empty with room for one value. A momentarily full
-// queue applies backpressure, but only up to the write deadline: past it
+// queue applies backpressure, but only up to CallTimeout: past it
 // the write is shed with ErrOverloaded rather than queueing without bound
 // behind a saturated pipeline. Fails fast during shutdown or link removal.
 func (l *peerLink) enqueueForward(lpns []int64, stamps []uint64, data []byte, done chan error) error {
@@ -374,7 +374,7 @@ func (l *peerLink) enqueueForward(lpns []int64, stamps []uint64, data []byte, do
 		return errNodeClosing
 	default:
 	}
-	t := time.NewTimer(n.cfg.WriteDeadline)
+	t := time.NewTimer(n.cfg.CallTimeout)
 	defer t.Stop()
 	select {
 	case l.fwdq <- e:

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -206,6 +207,73 @@ func TestNoLeakRingMemberRemoval(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	verify()
+}
+
+// lateListener hands each accepted conn over only after the listener has
+// been closed, and a pause later: the conn reaches acceptLoop after
+// shutdown has swept the node's conns, the widest form of the window
+// between Accept returning and the conn's registration.
+type lateListener struct {
+	net.Listener
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	<-l.closed
+	time.Sleep(20 * time.Millisecond)
+	return c, nil
+}
+
+func (l *lateListener) Close() error {
+	l.closeOnce.Do(func() { close(l.closed) })
+	return l.Listener.Close()
+}
+
+// TestCloseRacesAccept dials a node as it closes. A partner conn accepted
+// during shutdown must be swept or refused: Close has to return within a
+// bound instead of waiting on a serveConn that reads the still-open conn
+// forever.
+func TestCloseRacesAccept(t *testing.T) {
+	verify := testutil.CheckGoroutineLeak(t)
+	for round := 0; round < 5; round++ {
+		n, err := NewLiveNode(LiveConfig{
+			Name: "accept", ListenAddr: "127.0.0.1:0",
+			BufferPages: 8, RemotePages: 8, SSD: liveSSD(),
+			Listener: func(network, addr string) (net.Listener, error) {
+				ln, err := net.Listen(network, addr)
+				if err != nil {
+					return nil, err
+				}
+				return &lateListener{Listener: ln, closed: make(chan struct{})}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The client end stays open until Close returns, so a conn the
+		// node failed to close would block its reader for good.
+		c, err := net.Dial("tcp", n.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- n.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: Close hung on a conn accepted during shutdown", round)
+		}
+		c.Close()
 	}
 	verify()
 }

@@ -200,15 +200,13 @@ func TestWriteShedsWhenOverloaded(t *testing.T) {
 		case MsgHeartbeat:
 			return &Message{Type: MsgHeartbeatAck}
 		default:
-			return nil // swallow: the forward never acks
+			return nil
 		}
 	})
 	n, err := NewLiveNode(LiveConfig{
 		Name: "sheds", ListenAddr: "127.0.0.1:0", PeerAddr: addr,
 		BufferPages: 64, RemotePages: 64, SSD: liveSSD(),
-		CallTimeout:    2 * time.Second,
-		AdmissionLimit: 1,
-		WriteDeadline:  40 * time.Millisecond,
+		CallTimeout: 100 * time.Millisecond, // also the admission deadline
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,13 +217,11 @@ func TestWriteShedsWhenOverloaded(t *testing.T) {
 	}
 	ps := n.Device().PageSize()
 
-	// Occupy the only admission slot with a write stuck on its forward.
-	first := make(chan error, 1)
-	go func() { first <- n.Write(0, page(0x01, ps)) }()
-	waitCond(t, "first write to be admitted", 2*time.Second, func() bool {
-		return len(n.admit) == 1
-	})
-
+	// Occupy every admission slot, as that many writes stuck inside the
+	// node would.
+	for len(n.admit) < cap(n.admit) {
+		n.admit <- struct{}{}
+	}
 	t0 := time.Now()
 	err = n.Write(1, page(0x02, ps))
 	if !errors.Is(err, ErrOverloaded) {
@@ -237,23 +233,20 @@ func TestWriteShedsWhenOverloaded(t *testing.T) {
 	if got := n.Stats().Overloads; got < 1 {
 		t.Fatalf("Overloads = %d, want >= 1", got)
 	}
-	// The stuck write resolves once the call times out (degraded
-	// write-through), well before the node closes.
-	select {
-	case err := <-first:
-		if err != nil {
-			t.Fatalf("first write: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("first write never resolved")
+	for len(n.admit) > 0 {
+		n.releaseWrite()
 	}
 }
 
 // TestBreakerTripsOnSlowForwards drives the full overload→recover loop: a
-// partner acking forwards slower than BreakerThreshold trips the breaker
-// to Degraded after BreakerWindow frames, and the prober + resync bring
-// the pair back to Healthy once traffic stops.
+// partner acking forwards slower than CallTimeout/2 (but inside
+// CallTimeout) trips the breaker to Degraded after breakerWindow frames,
+// and the prober + resync bring the pair back to Healthy once traffic
+// stops.
 func TestBreakerTripsOnSlowForwards(t *testing.T) {
+	// The slow ack sits between the breaker threshold (CallTimeout/2)
+	// and the call timeout, with margin for a slow host on the far side.
+	const callTimeout, slowAck = 300 * time.Millisecond, 160 * time.Millisecond
 	addr := stubPartner(t, func(m *Message) *Message {
 		switch m.Type {
 		case MsgHello:
@@ -261,7 +254,7 @@ func TestBreakerTripsOnSlowForwards(t *testing.T) {
 		case MsgHeartbeat:
 			return &Message{Type: MsgHeartbeatAck}
 		case MsgWriteFwd:
-			time.Sleep(20 * time.Millisecond) // saturated, but answering
+			time.Sleep(slowAck) // saturated, but answering
 			return &Message{Type: MsgWriteAck}
 		case MsgResync:
 			return &Message{Type: MsgResyncAck}
@@ -274,9 +267,7 @@ func TestBreakerTripsOnSlowForwards(t *testing.T) {
 	n, err := NewLiveNode(LiveConfig{
 		Name: "breaker", ListenAddr: "127.0.0.1:0", PeerAddr: addr,
 		BufferPages: 64, RemotePages: 64, SSD: liveSSD(),
-		CallTimeout:      time.Second,
-		BreakerThreshold: time.Millisecond,
-		BreakerWindow:    2,
+		CallTimeout: callTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +277,8 @@ func TestBreakerTripsOnSlowForwards(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := n.Device().PageSize()
-	for i := int64(0); i < 2; i++ {
+	// One write at a time, so each is its own forward frame.
+	for i := int64(0); i < breakerWindow; i++ {
 		if err := n.Write(i, page(byte(i+1), ps)); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}

@@ -97,34 +97,19 @@ type LiveConfig struct {
 
 	HeartbeatInterval time.Duration // default 500ms
 	FailureThreshold  int           // default 3
-	CallTimeout       time.Duration // default 2s; bulk transfers get 5× (see bulkTimeout)
-
-	// Overload protection. AdmissionLimit bounds how many Writes may be in
-	// the node at once; a write that cannot be admitted within
-	// WriteDeadline is shed with ErrOverloaded instead of queueing without
-	// bound (default 1024 / CallTimeout). The same deadline bounds how
-	// long an admitted write may wait for space in the forward queue.
-	// BreakerThreshold and BreakerWindow drive the forwarder's circuit
-	// breaker: BreakerWindow consecutive forward frames each slower than
-	// BreakerThreshold trip the node to Degraded (peer technically up but
-	// saturated); the trip feeds the same lifecycle machinery as a failed
-	// heartbeat, so the prober + resync bring the pair back once the
-	// partner recovers. Defaults CallTimeout/2 and 16; BreakerThreshold<0
-	// disables the breaker.
-	AdmissionLimit   int
-	WriteDeadline    time.Duration
-	BreakerThreshold time.Duration
-	BreakerWindow    int
+	// CallTimeout (default 2s) bounds one partner call; bulk transfers
+	// get 5× (see bulkTimeout). It is also the overload deadline: a write
+	// that finds no admission slot, or no forward-queue space, within
+	// CallTimeout is shed with ErrOverloaded, and forward frames slower
+	// than CallTimeout/2 count toward the circuit breaker (overload.go).
+	CallTimeout time.Duration
 
 	// Replication pipeline knobs. MaxBatchPages caps how many pages the
 	// forwarder group-commits into one MsgWriteFwd frame; MaxInflight caps
-	// unacked frames on the wire; ForwardQueue sizes the queue between
-	// writers and the forwarder (full queue = backpressure on writers).
-	// MaxBatchPages=1 with MaxInflight=1 degenerates to the old one
-	// synchronous round trip per write.
+	// unacked frames on the wire. MaxBatchPages=1 with MaxInflight=1
+	// degenerates to the old one synchronous round trip per write.
 	MaxBatchPages int // default 64
 	MaxInflight   int // default 4
-	ForwardQueue  int // default 256
 
 	// DisableStreams turns off multi-stream write segregation: every
 	// eviction flush is written under the default stream regardless of the
@@ -132,47 +117,21 @@ type LiveConfig struct {
 	// baseline. The A/B knob behind loadgen's -streams flag.
 	DisableStreams bool
 
-	// GCDeferThreshold and GCDrainBackoff tune GC-aware drain scheduling.
-	// When an FTL's GCPressure reaches the threshold, each shard evictor
-	// prefixes a batch with one GCDrainBackoff pause donated to background
-	// reclaim (queue under half full only — backpressure always wins), and
-	// the forwarder holds below-cap discard-only batches for up to a few
-	// backoff ticks while the PARTNER reports pressure at the threshold.
-	// Threshold <= 0 disables both (the default 0.75 applies when unset;
-	// set negative to disable). Backoff defaults to 500µs.
-	GCDeferThreshold float64
-	GCDrainBackoff   time.Duration
-
 	// Victim-cache tier (internal/victim). VictimSegments > 0 enables a
 	// log-structured on-flash victim cache that absorbs evicted-but-still-
 	// warm pages: Hot/Warm evictions with demonstrated reuse are appended
 	// to the victim log in addition to their durable home write, and read
 	// misses probe the tier before paying a home-device read. 0 (the
 	// default) disables the tier entirely — no extra flash writes, the
-	// pre-tier read path. VictimSegmentPages sizes one erase-block
-	// segment of the log (0 = the home device's pages-per-block);
-	// AdmissionMinReuse is the popularity floor an eviction must show to
-	// be admitted without ghost-index feedback (0 = default 2). With
-	// DataDir set, sealed segments are mirrored to a victim.log file
-	// there (best effort, never fsynced, never reloaded — the tier is
-	// strictly a cache and starts cold after any restart).
-	VictimSegments     int
-	VictimSegmentPages int
-	AdmissionMinReuse  int64
-
-	// DevicePacing converts the SSD timing model's completion times into
-	// wall-clock waiting: every device-charged operation — read-miss
-	// fills, eviction flush bursts, victim-tier hits and admission
-	// programs — sleeps until the model says it would complete, so
-	// measured latency reflects the modeled medium (including reads
-	// queueing behind home writes and GC) instead of the host's page
-	// cache. Flush pacing propagates to writers as ordinary buffer/queue
-	// backpressure, which keeps the device queue's backlog bounded. Off
-	// by default: tests and non-benchmark callers want the model to keep
-	// books at host speed. Runtime-togglable via SetDevicePacing, so a
-	// benchmark can seed and warm up unpaced and pace only its measured
-	// window (re-anchor the queue with ResetDeviceMeasurement first).
-	DevicePacing bool
+	// pre-tier read path. One segment of the log is one erase block of
+	// the home device. AdmissionMinReuse is the popularity floor an
+	// eviction must show to be admitted without ghost-index feedback
+	// (0 = default 2). With DataDir set, sealed segments are mirrored to
+	// a victim.log file there (best effort, never fsynced, never
+	// reloaded — the tier is strictly a cache and starts cold after any
+	// restart).
+	VictimSegments    int
+	AdmissionMinReuse int64
 
 	// Dialer and Listener inject the transport. nil defaults to the real
 	// net package (net.DialTimeout / net.Listen) at zero cost; tests and
@@ -209,27 +168,6 @@ func (c LiveConfig) withDefaults() LiveConfig {
 		// for a slot, so a modest window yields large group commits under
 		// load while still overlapping round trips. See forwardLoop.
 		c.MaxInflight = 4
-	}
-	if c.ForwardQueue <= 0 {
-		c.ForwardQueue = 256
-	}
-	if c.AdmissionLimit <= 0 {
-		c.AdmissionLimit = 1024
-	}
-	if c.WriteDeadline == 0 {
-		c.WriteDeadline = c.CallTimeout
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = c.CallTimeout / 2
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 16
-	}
-	if c.GCDeferThreshold == 0 {
-		c.GCDeferThreshold = 0.75
-	}
-	if c.GCDrainBackoff == 0 {
-		c.GCDrainBackoff = 500 * time.Microsecond
 	}
 	if c.Replication <= 0 {
 		c.Replication = 1
@@ -369,7 +307,7 @@ type LiveNode struct {
 	dev      *ssd.Device
 	pageSize int
 
-	// Device pacing (see LiveConfig.DevicePacing). pacing gates the
+	// Device pacing (see SetDevicePacing). pacing gates the
 	// sleeps; victimQ is the victim log's own serial-service queue (the
 	// home device has one inside ssd.Device), and the two service
 	// constants are one page's read/program cost on the tier's medium.
@@ -418,7 +356,7 @@ type LiveNode struct {
 	// deferral checks never take a lock.
 	localPressure atomic.Uint64
 
-	admit chan struct{} // write admission semaphore (AdmissionLimit slots)
+	admit chan struct{} // write admission semaphore (admissionLimit slots)
 
 	// Storage-integrity machinery (see scrub.go). repairSet is the dedup'd
 	// queue of LPNs awaiting repair from ring holders (fed by load-time
@@ -481,10 +419,6 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 	}
 	var vc *victim.Cache
 	if cfg.VictimSegments > 0 {
-		segPages := cfg.VictimSegmentPages
-		if segPages <= 0 {
-			segPages = dev.PagesPerBlock()
-		}
 		var mirror faultfs.File
 		if cfg.DataDir != "" {
 			fsys := cfg.FS
@@ -497,7 +431,7 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		}
 		vc, err = victim.New(victim.Config{
 			Segments:     cfg.VictimSegments,
-			SegmentPages: segPages,
+			SegmentPages: dev.PagesPerBlock(),
 			PageSize:     dev.PageSize(),
 			MinReuse:     cfg.AdmissionMinReuse,
 			Log:          mirror,
@@ -529,7 +463,7 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		pageSize:     dev.PageSize(),
 		ppb:          dev.PagesPerBlock(),
 		remoteBudget: cfg.RemotePages,
-		admit:        make(chan struct{}, cfg.AdmissionLimit),
+		admit:        make(chan struct{}, admissionLimit),
 		writeLat:     metrics.NewStripedLatencyHist(ns),
 		fwdLat:       metrics.NewStripedLatencyHist(ns),
 		ln:           ln,
@@ -542,7 +476,6 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		n.selfID = ln.Addr().String()
 	}
 	n.stampCtr.Store(store.maxStamp())
-	n.pacing.Store(cfg.DevicePacing)
 	// The victim log is NAND like the home device, so its per-page
 	// service costs come from the same geometry; what it lacks is the
 	// home device's GC and write queue, which is the whole trade.
@@ -902,9 +835,18 @@ func (n *LiveNode) paceVictim(service sim.VTime) {
 	}
 }
 
-// SetDevicePacing flips device pacing (see LiveConfig.DevicePacing) at
-// runtime. Benchmarks run seed and warmup phases unpaced, re-anchor the
-// model with ResetDeviceMeasurement, and pace only the measured window.
+// SetDevicePacing turns device pacing on or off. Pacing converts the SSD
+// timing model's completion times into wall-clock waiting: every
+// device-charged operation — read-miss fills, eviction flush bursts,
+// victim-tier hits and admission programs — sleeps until the model says
+// it would complete, so measured latency reflects the modeled medium
+// (including reads queueing behind home writes and GC) instead of the
+// host's page cache. Flush pacing propagates to writers as ordinary
+// buffer/queue backpressure, which keeps the device queue's backlog
+// bounded. Nodes start unpaced, so tests and non-benchmark callers keep
+// the model's books at host speed. Benchmarks run seed and warmup phases
+// unpaced, re-anchor the model with ResetDeviceMeasurement, and pace only
+// the measured window.
 func (n *LiveNode) SetDevicePacing(on bool) { n.pacing.Store(on) }
 
 // ResetDeviceMeasurement clears the home device model's queue backlog
@@ -1243,7 +1185,7 @@ func (n *LiveNode) writeThroughRun(run buffer.ShardRun, base int64, stamps []uin
 }
 
 // admitWrite claims one admission slot, shedding the write with
-// ErrOverloaded when none frees up within WriteDeadline. The fast path is
+// ErrOverloaded when none frees up within CallTimeout. The fast path is
 // one non-blocking channel send.
 func (n *LiveNode) admitWrite() error {
 	select {
@@ -1253,7 +1195,7 @@ func (n *LiveNode) admitWrite() error {
 		return errNodeClosing
 	default:
 	}
-	t := time.NewTimer(n.cfg.WriteDeadline)
+	t := time.NewTimer(n.cfg.CallTimeout)
 	defer t.Stop()
 	select {
 	case n.admit <- struct{}{}:
@@ -1632,7 +1574,11 @@ func (n *LiveNode) shutdown() {
 	})
 }
 
-// acceptLoop serves partner connections.
+// acceptLoop serves partner connections. Each conn is registered here,
+// before its goroutine starts, under connsMu: shutdown closes stop before
+// it sweeps conns under the same lock, so a conn accepted while the node
+// closes is either swept or refused below — never left open under a
+// serveConn that Close would wait on forever.
 func (n *LiveNode) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -1645,6 +1591,16 @@ func (n *LiveNode) acceptLoop() {
 				continue
 			}
 		}
+		n.connsMu.Lock()
+		select {
+		case <-n.stop:
+			n.connsMu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		n.conns[conn] = struct{}{}
+		n.connsMu.Unlock()
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
@@ -1654,9 +1610,6 @@ func (n *LiveNode) acceptLoop() {
 }
 
 func (n *LiveNode) serveConn(conn net.Conn) {
-	n.connsMu.Lock()
-	n.conns[conn] = struct{}{}
-	n.connsMu.Unlock()
 	defer func() {
 		conn.Close()
 		n.connsMu.Lock()

@@ -13,6 +13,10 @@ import (
 // removed their partner link.
 var errPeerRemoved = errors.New("cluster: peer removed from ring")
 
+// forwardQueue sizes each link's queue between writers and its forwarder;
+// a full queue is backpressure on writers (up to CallTimeout, then shed).
+const forwardQueue = 256
+
 // peerLink bundles everything the node runs per cooperative partner: the
 // pipelined client, a dedicated group-commit forwarder (queue + loop), a
 // circuit breaker, a prober, a degraded-write journal, and one lifecycle
@@ -63,12 +67,12 @@ func (n *LiveNode) newLinkLocked(id string) *peerLink {
 		n:         n,
 		id:        id,
 		client:    newPeerClient(id, n.cfg.CallTimeout, n.cfg.Dialer),
-		fwdq:      make(chan fwdEntry, n.cfg.ForwardQueue),
+		fwdq:      make(chan fwdEntry, forwardQueue),
 		sent:      make(chan *fwdFrame, n.cfg.MaxInflight),
 		frames:    make(chan *fwdFrame, n.cfg.MaxInflight+2),
 		probeKick: make(chan struct{}, 1),
 		stop:      make(chan struct{}),
-		brk:       breaker{threshold: int64(n.cfg.BreakerThreshold), window: int32(n.cfg.BreakerWindow)},
+		brk:       breaker{threshold: int64(n.cfg.CallTimeout / 2)},
 		lc:        lifecycle{state: StateDegraded, threshold: n.cfg.FailureThreshold},
 		outage:    make(map[int64]uint64),
 	}

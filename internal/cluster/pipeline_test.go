@@ -357,7 +357,7 @@ func TestSyncConfigStillCorrect(t *testing.T) {
 		Name: "b", ListenAddr: "127.0.0.1:0", PeerAddr: a.Addr(),
 		BufferPages: 64, RemotePages: 128, SSD: liveSSD(),
 		CallTimeout:   500 * time.Millisecond,
-		MaxBatchPages: 1, MaxInflight: 1, ForwardQueue: 1,
+		MaxBatchPages: 1, MaxInflight: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func victimPair(t *testing.T) (*LiveNode, *LiveNode) {
 	a, err := NewLiveNode(LiveConfig{
 		Name: "a", ListenAddr: "127.0.0.1:0",
 		BufferPages: 64, RemotePages: 4096, SSD: liveSSD(),
-		VictimSegments: 16, VictimSegmentPages: 8,
+		VictimSegments:    16,
 		HeartbeatInterval: 20 * time.Millisecond,
 		CallTimeout:       500 * time.Millisecond,
 	})
@@ -381,8 +381,8 @@ func TestVictimMirrorFileWritten(t *testing.T) {
 	a, err := NewLiveNode(LiveConfig{
 		Name: "a", ListenAddr: "127.0.0.1:0",
 		BufferPages: 64, RemotePages: 4096, SSD: liveSSD(),
-		VictimSegments: 8, VictimSegmentPages: 4,
-		DataDir: dir,
+		VictimSegments: 8,
+		DataDir:        dir,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,10 +405,10 @@ func TestVictimMirrorFileWritten(t *testing.T) {
 	t.Cleanup(func() { a.Close(); b.Close() })
 	churnHotWrites(t, a, 150, func(i int64) byte { return byte(i) })
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && a.Stats().VictimAdmits < 8 {
+	for time.Now().Before(deadline) && a.Stats().VictimAdmits < 16 {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if a.Stats().VictimAdmits < 8 {
+	if a.Stats().VictimAdmits < 16 {
 		t.Fatalf("too few admits to seal a segment: %+v", a.Stats())
 	}
 	f, err := faultfs.OS().OpenFile(filepath.Join(dir, "victim.log"))
@@ -416,7 +416,7 @@ func TestVictimMirrorFileWritten(t *testing.T) {
 		t.Fatalf("victim.log missing: %v", err)
 	}
 	defer f.Close()
-	hdr := make([]byte, victim.EncodedSize(4))
+	hdr := make([]byte, victim.EncodedSize(a.Device().PagesPerBlock()))
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		t.Fatalf("mirror read: %v", err)
 	}

@@ -97,8 +97,8 @@ type Cache struct {
 	stamps []uint64      // slot -> write stamp
 	live   []bool        // slot holds the current cached version
 
-	head   int  // open segment
-	cursor int  // next free slot offset within the open segment
+	head   int // open segment
+	cursor int // next free slot offset within the open segment
 	seq    uint64
 	used   []bool // segment has been programmed since its last erase
 
@@ -130,11 +130,11 @@ func New(cfg Config) (*Cache, error) {
 		cfg.GhostPages = cfg.Segments * cfg.SegmentPages
 	}
 	arr, err := flash.NewArray(flash.Params{
-		PageSize:      cfg.PageSize,
-		PagesPerBlock: cfg.SegmentPages,
+		PageSize:       cfg.PageSize,
+		PagesPerBlock:  cfg.SegmentPages,
 		BlocksPerPlane: cfg.Segments,
-		PlanesPerDie:  1,
-		Dies:          1,
+		PlanesPerDie:   1,
+		Dies:           1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("victim: %w", err)

@@ -457,8 +457,8 @@ func (f *mirrorFile) WriteAt(p []byte, off int64) (int, error) {
 	return copy(f.data[off:], p), nil
 }
 
-func (f *mirrorFile) Sync() error      { return nil }
-func (f *mirrorFile) Close() error     { return nil }
+func (f *mirrorFile) Sync() error  { return nil }
+func (f *mirrorFile) Close() error { return nil }
 func (f *mirrorFile) Size() (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

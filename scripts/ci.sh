@@ -5,6 +5,14 @@
 # internal/cluster/check). Run from the repository root.
 set -eux
 
+# Formatting gate: gofmt must have nothing to rewrite.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needs to run on:"
+	echo "$unformatted"
+	exit 1
+fi
+
 go vet ./...
 # staticcheck is optional tooling: run it when the host has it, never
 # install it from CI (the gate must work offline and unprivileged).
@@ -95,31 +103,10 @@ go run ./cmd/loadgen -stream-scale -writers 4 -ops 6000
 # measured run.
 go run ./cmd/loadgen -victim-scale -writers 4 -ops 6000 -readfrac 0.9 -zipf 1.5 -victim-segments 64
 
-# Bench regression gate: rerun the committed shard ladder with identical
-# workload parameters and fail if any rung's throughput drops more than
-# 10% below the committed BENCH_shard.json. Matching the bench-shard
-# target's flags exactly is load-bearing — benchgate pairs rungs by
-# (shards, writers, ops) and treats a missing rung as a failure. The
-# workload is fsync-bound, so shared-disk hosts drift minutes-scale; one
-# retry absorbs a bad-weather sample without masking a real regression
-# (a code-level slowdown fails both attempts). Skip entirely with
-# CI_SKIP_BENCHGATE=1 on hosts too noisy for throughput numbers.
+# Bench regression gate: the same script `make bench-gate` runs (shard
+# ladder, victim A/B and ring ladder, fresh reports, one retry each).
+# Skip entirely with CI_SKIP_BENCHGATE=1 on hosts too noisy for
+# throughput numbers.
 if [ -z "${CI_SKIP_BENCHGATE:-}" ]; then
-	run_gate() {
-		go run ./cmd/loadgen -shard-scale 1,4,16 -writers 32 -ops 24000 \
-			-buffer 1024 -remote 32768 -evict-queue 1 -ppb 2 -blocks 65536 \
-			-reps 3 -json /tmp/BENCH_shard.ci.json
-		go run ./cmd/benchgate -committed BENCH_shard.json -current /tmp/BENCH_shard.ci.json
-	}
-	run_gate || { echo "benchgate: retrying once (host noise vs regression)"; run_gate; }
-
-	# Ring gate: rerun the committed ring-scale ladder (same identity:
-	# default writers/ops, nodes 2 and 3) and hold both the per-rung
-	# regression tolerance and the absolute 0.75 per-node floor — ring
-	# membership must never tax a member's write path more than 25%.
-	ring_gate() {
-		go run ./cmd/loadgen -ring-scale 2,3 -reps 3 -json /tmp/BENCH_cluster.ci.json
-		go run ./cmd/benchgate -committed BENCH_cluster.json -current /tmp/BENCH_cluster.ci.json
-	}
-	ring_gate || { echo "benchgate: retrying once (host noise vs regression)"; ring_gate; }
+	./scripts/bench-gate.sh
 fi
