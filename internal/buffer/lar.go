@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"container/list"
 	"slices"
 
 	"flashcoop/internal/stream"
@@ -53,19 +52,22 @@ type LAR struct {
 
 	blocks  map[int64]*larBlock
 	buckets map[int64]*popBucket
-	// popHeap is a min-heap over the popularity values that ever gained a
-	// bucket; stale entries (emptied buckets) are dropped lazily when they
-	// surface at the top, making min-popularity tracking O(1) amortized.
-	popHeap []int64
-	minPop  int64
+	// popHeap is an indexed min-heap (by popularity) of the occupied
+	// buckets: a bucket leaves it the moment it empties, so the top is
+	// always the least popular buffered block's bucket.
+	popHeap []*popBucket
 	stats   Stats
 
 	// touched is reused across Access calls to carry the blocks of the
 	// request in flight into eviction (they are exempt from victimhood).
 	touched []int64
-	// free recycles evicted block descriptors (and their page-state
-	// arrays) so steady-state eviction/insertion churn does not allocate.
-	free []*larBlock
+	// deferred is evictToFit's reused set-aside list for those blocks.
+	deferred []*larBlock
+	// free and freeBuckets recycle evicted block descriptors (with their
+	// page-state arrays) and emptied buckets (with their per-dirty lists),
+	// so steady-state churn does not allocate.
+	free        []*larBlock
+	freeBuckets []*popBucket
 }
 
 // pageState is one page's residency inside its block: absent, buffered
@@ -88,12 +90,41 @@ type larBlock struct {
 	count int         // buffered pages (st != pageAbsent)
 	dirty int
 	pop   int64
-	elem  *list.Element // position in its (pop, dirty) list
-	// bucketPop / bucketDirty are the keys the block is currently
-	// registered under; pop and dirty may run ahead during an access
-	// until reposition() re-files the block.
-	bucketPop   int64
+	// prev and next link the block into its bucket's list for bucketDirty.
+	prev, next *larBlock
+	// bucket / bucketDirty are where the block is currently registered;
+	// pop and dirty may run ahead during an access until reposition()
+	// re-files the block.
+	bucket      *popBucket
 	bucketDirty int
+}
+
+// larList is an intrusive FIFO of blocks linked through larBlock.prev and
+// next: head is the oldest insertion.
+type larList struct{ head, tail *larBlock }
+
+func (l *larList) pushBack(b *larBlock) {
+	b.prev, b.next = l.tail, nil
+	if l.tail != nil {
+		l.tail.next = b
+	} else {
+		l.head = b
+	}
+	l.tail = b
+}
+
+func (l *larList) remove(b *larBlock) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		l.head = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		l.tail = b.prev
+	}
+	b.prev, b.next = nil, nil
 }
 
 // popBucket holds the blocks of one popularity value, sub-ordered by dirty
@@ -101,9 +132,11 @@ type larBlock struct {
 // another bucket), a block's dirty count is immutable while it resides in a
 // bucket, so the per-dirty lists never need reordering.
 type popBucket struct {
-	byDirty  map[int]*list.List
-	maxDirty int
+	pop      int64
+	byDirty  []larList // indexed by dirty count, length ppb+1
+	maxDirty int       // highest dirty count with a non-empty list
 	count    int
+	heapIdx  int // position in LAR.popHeap
 }
 
 var _ Cache = (*LAR)(nil)
@@ -180,104 +213,113 @@ func (c *LAR) release(b *larBlock) {
 
 // bucket bookkeeping ---------------------------------------------------
 
+// newBucket returns an empty bucket for pop, reusing a recycled one when
+// available.
+func (c *LAR) newBucket(pop int64) *popBucket {
+	if n := len(c.freeBuckets); n > 0 {
+		pb := c.freeBuckets[n-1]
+		c.freeBuckets = c.freeBuckets[:n-1]
+		pb.pop = pop
+		return pb
+	}
+	return &popBucket{pop: pop, byDirty: make([]larList, c.ppb+1)}
+}
+
 func (c *LAR) bucketAdd(b *larBlock) {
 	pb, ok := c.buckets[b.pop]
 	if !ok {
-		pb = &popBucket{byDirty: make(map[int]*list.List)}
+		pb = c.newBucket(b.pop)
 		c.buckets[b.pop] = pb
-		c.heapPush(b.pop)
+		c.heapPush(pb)
 	}
-	l, ok := pb.byDirty[b.dirty]
-	if !ok {
-		l = list.New()
-		pb.byDirty[b.dirty] = l
-	}
-	b.elem = l.PushBack(b)
-	b.bucketPop, b.bucketDirty = b.pop, b.dirty
+	pb.byDirty[b.dirty].pushBack(b)
+	b.bucket, b.bucketDirty = pb, b.dirty
 	pb.count++
 	if b.dirty > pb.maxDirty {
 		pb.maxDirty = b.dirty
 	}
-	c.advanceMinPop()
-}
-
-func (c *LAR) bucketEmptyAt(pop int64) bool {
-	pb, ok := c.buckets[pop]
-	return !ok || pb.count == 0
 }
 
 func (c *LAR) bucketRemove(b *larBlock) {
-	pb := c.buckets[b.bucketPop]
-	l := pb.byDirty[b.bucketDirty]
-	l.Remove(b.elem)
-	b.elem = nil
+	pb := b.bucket
+	l := &pb.byDirty[b.bucketDirty]
+	l.remove(b)
+	b.bucket = nil
 	pb.count--
-	if l.Len() == 0 {
-		delete(pb.byDirty, b.bucketDirty)
-		if b.bucketDirty == pb.maxDirty {
-			pb.maxDirty = 0
-			for d := range pb.byDirty {
-				if d > pb.maxDirty {
-					pb.maxDirty = d
-				}
-			}
-		}
-	}
 	if pb.count == 0 {
-		delete(c.buckets, b.bucketPop)
+		// Every list is empty now: the bucket leaves the heap and the
+		// map at once and waits on the free list for its next pop.
+		delete(c.buckets, pb.pop)
+		c.heapRemove(pb.heapIdx)
+		pb.maxDirty = 0
+		c.freeBuckets = append(c.freeBuckets, pb)
+		return
+	}
+	if l.head == nil && b.bucketDirty == pb.maxDirty {
+		for pb.maxDirty > 0 && pb.byDirty[pb.maxDirty].head == nil {
+			pb.maxDirty--
+		}
 	}
 }
 
-// heapPush adds a popularity value to the min-heap.
-func (c *LAR) heapPush(v int64) {
-	c.popHeap = append(c.popHeap, v)
-	i := len(c.popHeap) - 1
+// heapLess orders popHeap by popularity; occupied buckets have distinct
+// pops, so there are no ties.
+func (c *LAR) heapLess(i, j int) bool { return c.popHeap[i].pop < c.popHeap[j].pop }
+
+func (c *LAR) heapSwap(i, j int) {
+	h := c.popHeap
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx = i
+	h[j].heapIdx = j
+}
+
+// heapPush adds an occupied bucket to the min-heap.
+func (c *LAR) heapPush(pb *popBucket) {
+	pb.heapIdx = len(c.popHeap)
+	c.popHeap = append(c.popHeap, pb)
+	c.heapUp(pb.heapIdx)
+}
+
+// heapRemove deletes the bucket at heap position i.
+func (c *LAR) heapRemove(i int) {
+	n := len(c.popHeap) - 1
+	if i != n {
+		c.heapSwap(i, n)
+	}
+	c.popHeap = c.popHeap[:n]
+	if i != n {
+		c.heapDown(i)
+		c.heapUp(i)
+	}
+}
+
+func (c *LAR) heapUp(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if c.popHeap[p] <= c.popHeap[i] {
-			break
+		if !c.heapLess(i, p) {
+			return
 		}
-		c.popHeap[p], c.popHeap[i] = c.popHeap[i], c.popHeap[p]
+		c.heapSwap(i, p)
 		i = p
 	}
 }
 
-// heapPop removes the heap's minimum.
-func (c *LAR) heapPop() {
-	n := len(c.popHeap) - 1
-	c.popHeap[0] = c.popHeap[n]
-	c.popHeap = c.popHeap[:n]
-	i := 0
+func (c *LAR) heapDown(i int) {
+	n := len(c.popHeap)
 	for {
 		l, r, s := 2*i+1, 2*i+2, i
-		if l < n && c.popHeap[l] < c.popHeap[s] {
+		if l < n && c.heapLess(l, s) {
 			s = l
 		}
-		if r < n && c.popHeap[r] < c.popHeap[s] {
+		if r < n && c.heapLess(r, s) {
 			s = r
 		}
 		if s == i {
 			return
 		}
-		c.popHeap[i], c.popHeap[s] = c.popHeap[s], c.popHeap[i]
+		c.heapSwap(i, s)
 		i = s
 	}
-}
-
-// advanceMinPop repoints minPop at the least occupied popularity. The heap
-// holds every occupied popularity (plus stale entries for emptied buckets,
-// dropped here when they reach the top), so this is O(1) amortized — each
-// heap entry is popped at most once per push.
-func (c *LAR) advanceMinPop() {
-	for len(c.popHeap) > 0 {
-		top := c.popHeap[0]
-		if !c.bucketEmptyAt(top) {
-			c.minPop = top
-			return
-		}
-		c.heapPop()
-	}
-	c.minPop = 0
 }
 
 // reposition moves a block whose pop or dirty changed into its new bucket.
@@ -310,7 +352,7 @@ func (c *LAR) Access(req Request) Result {
 	// Blocks touched by the request in flight are exempt from eviction
 	// (unless nothing else can be evicted): evicting the data the host
 	// just handed us would defeat buffering entirely.
-	res.Flush = append(res.Flush, c.evictToFit(c.touched)...)
+	res.Flush = c.evictToFit(res.Flush, c.touched)
 	return res
 }
 
@@ -386,11 +428,11 @@ func containsBlk(s []int64, blk int64) bool {
 	return false
 }
 
-// evictToFit evicts victim blocks until the cache fits its capacity.
-// Blocks in exclude are set aside and only evicted if nothing else remains.
-func (c *LAR) evictToFit(exclude []int64) []FlushUnit {
-	var units []FlushUnit
-	var deferred []*larBlock
+// evictToFit evicts victim blocks until the cache fits its capacity,
+// appending their flush units to units. Blocks in exclude are set aside
+// and only evicted if nothing else remains.
+func (c *LAR) evictToFit(units []FlushUnit, exclude []int64) []FlushUnit {
+	deferred := c.deferred[:0]
 	ignoreExclude := false
 	for c.lenPages > c.capPages && len(c.blocks) > 0 {
 		b := c.victim()
@@ -409,40 +451,37 @@ func (c *LAR) evictToFit(exclude []int64) []FlushUnit {
 		}
 		if !ignoreExclude && containsBlk(exclude, b.blk) {
 			c.bucketRemove(b)
-			c.advanceMinPop()
 			deferred = append(deferred, b)
 			continue
 		}
-		units = append(units, c.evictBlock(b, exclude)...)
+		units = c.evictBlock(units, b, exclude)
 	}
 	for _, d := range deferred {
 		c.bucketAdd(d)
 	}
+	c.deferred = deferred[:0]
 	return units
 }
 
 // victim returns the block to evict next: least popular first, then (when
 // DirtyOrder is set) most dirty pages, then oldest insertion.
 func (c *LAR) victim() *larBlock {
-	pb := c.buckets[c.minPop]
-	if pb == nil || pb.count == 0 {
+	if len(c.popHeap) == 0 {
 		return nil
 	}
-	d := pb.maxDirty
+	pb := c.popHeap[0]
 	if !c.opts.DirtyOrder {
-		// Popularity-only ablation: take the oldest block across the
-		// bucket regardless of dirtiness (scan is bounded by ppb+1
-		// distinct dirty values).
+		// Popularity-only ablation: take the lowest-numbered block among
+		// the heads of the bucket's ppb+1 per-dirty lists.
 		var oldest *larBlock
 		for _, l := range pb.byDirty {
-			b := l.Front().Value.(*larBlock)
-			if oldest == nil || b.blk < oldest.blk {
+			if b := l.head; b != nil && (oldest == nil || b.blk < oldest.blk) {
 				oldest = b
 			}
 		}
 		return oldest
 	}
-	return pb.byDirty[d].Front().Value.(*larBlock)
+	return pb.byDirty[pb.maxDirty].head
 }
 
 // removeBlock unlinks a block entirely and updates page accounting.
@@ -451,7 +490,6 @@ func (c *LAR) removeBlock(b *larBlock) {
 	delete(c.blocks, b.blk)
 	c.lenPages -= b.count
 	c.dirtyPages -= b.dirty
-	c.advanceMinPop()
 }
 
 // streamFor derives the temperature tag of an evicted block from the very
@@ -476,15 +514,15 @@ func (c *LAR) streamFor(pop int64, fullBlock bool) stream.Stream {
 }
 
 // evictBlock evicts block b (possibly clustering further tail blocks into
-// the same flush) and returns the flush units.
-func (c *LAR) evictBlock(b *larBlock, exclude []int64) []FlushUnit {
+// the same flush) and appends its flush units to units.
+func (c *LAR) evictBlock(units []FlushUnit, b *larBlock, exclude []int64) []FlushUnit {
 	c.removeBlock(b)
 
 	if b.dirty == 0 {
 		// A clean victim is discarded: the SSD already has this data.
 		c.stats.CleanDrops += int64(b.count)
 		c.release(b)
-		return nil
+		return units
 	}
 
 	flushCount := b.dirty
@@ -492,11 +530,10 @@ func (c *LAR) evictBlock(b *larBlock, exclude []int64) []FlushUnit {
 		flushCount = b.count
 	}
 	if c.opts.ClusterSmallWrites && flushCount <= c.ppb/4 {
-		return []FlushUnit{c.clusterFlush(b, exclude)}
+		return append(units, c.clusterFlush(b, exclude))
 	}
 	pages := c.victimPages(b)
 
-	var units []FlushUnit
 	base := c.base(b)
 	strm := c.streamFor(b.pop, b.count == c.ppb)
 	for _, run := range runsOf(pages) {
@@ -639,10 +676,18 @@ func (c *LAR) FlushAll() []FlushUnit {
 			c.stats.FlushPages += int64(len(run))
 		}
 	}
-	c.blocks = make(map[int64]*larBlock)
-	c.buckets = make(map[int64]*popBucket)
+	for _, b := range c.blocks {
+		c.release(b)
+	}
+	for _, pb := range c.popHeap {
+		clear(pb.byDirty)
+		pb.count, pb.maxDirty = 0, 0
+		c.freeBuckets = append(c.freeBuckets, pb)
+	}
+	clear(c.blocks)
+	clear(c.buckets)
 	c.popHeap = c.popHeap[:0]
-	c.lenPages, c.dirtyPages, c.minPop = 0, 0, 0
+	c.lenPages, c.dirtyPages = 0, 0
 	return units
 }
 
@@ -652,7 +697,7 @@ func (c *LAR) Resize(capPages int) []FlushUnit {
 		capPages = 0
 	}
 	c.capPages = capPages
-	return c.evictToFit(nil)
+	return c.evictToFit(nil, nil)
 }
 
 // Invalidate implements Cache: the page is dropped without flushing; an

@@ -244,6 +244,15 @@ func TestLARPopularityOnlyAblation(t *testing.T) {
 	}
 }
 
+// leastPop reads the least buffered popularity off the top of the bucket
+// heap (0 when the cache is empty).
+func leastPop(c *LAR) int64 {
+	if len(c.popHeap) == 0 {
+		return 0
+	}
+	return c.popHeap[0].pop
+}
+
 func TestLARMinPopAdvances(t *testing.T) {
 	c := paperLAR(8)
 	// Create a very popular block, then cold blocks.
@@ -251,13 +260,14 @@ func TestLARMinPopAdvances(t *testing.T) {
 		c.Access(Request{LPN: 0, Pages: 1, Write: true})
 	}
 	c.Access(Request{LPN: 8, Pages: 1, Write: true})
-	if c.minPop != 1 {
-		t.Fatalf("minPop = %d, want 1", c.minPop)
+	if got := leastPop(c); got != 1 {
+		t.Fatalf("least popularity = %d, want 1", got)
 	}
-	// Evict the cold block; minPop must advance to the popular one.
+	// Evict the cold block; the least popularity must advance to the
+	// popular one.
 	c.Resize(1)
-	if c.minPop < 50 {
-		t.Fatalf("minPop = %d after evicting cold block", c.minPop)
+	if got := leastPop(c); got < 50 {
+		t.Fatalf("least popularity = %d after evicting cold block", got)
 	}
 	if !c.Contains(0) {
 		t.Fatal("popular page evicted before cold one")
@@ -305,11 +315,73 @@ func TestLARStress(t *testing.T) {
 	}
 	// Bucket registration must match block state.
 	for _, b := range c.blocks {
-		if b.bucketPop != b.pop || b.bucketDirty != b.dirty {
-			t.Fatalf("block %d not repositioned: bucket(%d,%d) vs (%d,%d)",
-				b.blk, b.bucketPop, b.bucketDirty, b.pop, b.dirty)
+		if b.bucket == nil || b.bucket.pop != b.pop || b.bucketDirty != b.dirty {
+			t.Fatalf("block %d not repositioned: bucket %+v dirty %d vs (%d,%d)",
+				b.blk, b.bucket, b.bucketDirty, b.pop, b.dirty)
 		}
 	}
+	checkBuckets(t, c)
+}
+
+// checkBuckets verifies the bucket structure against the blocks: every
+// occupied bucket is in the map and in a valid heap at its recorded index,
+// its count and maxDirty match its lists, and the lists hold exactly the
+// blocks registered there.
+func checkBuckets(t *testing.T, c *LAR) {
+	t.Helper()
+	if len(c.popHeap) != len(c.buckets) {
+		t.Fatalf("heap holds %d buckets, map %d", len(c.popHeap), len(c.buckets))
+	}
+	listed := 0
+	for i, pb := range c.popHeap {
+		if pb.heapIdx != i || c.buckets[pb.pop] != pb {
+			t.Fatalf("bucket pop %d: heapIdx %d at %d, map entry %p", pb.pop, pb.heapIdx, i, c.buckets[pb.pop])
+		}
+		if i > 0 && c.popHeap[(i-1)/2].pop >= pb.pop {
+			t.Fatalf("heap order broken at %d", i)
+		}
+		n, maxDirty := 0, 0
+		for d, l := range pb.byDirty {
+			var prev *larBlock
+			for b := l.head; b != nil; b = b.next {
+				if b.prev != prev || b.bucket != pb || b.bucketDirty != d {
+					t.Fatalf("block %d misfiled in bucket (%d,%d)", b.blk, pb.pop, d)
+				}
+				prev = b
+				n++
+				maxDirty = d
+			}
+			if l.tail != prev {
+				t.Fatalf("bucket (%d,%d) tail mismatch", pb.pop, d)
+			}
+		}
+		if n == 0 || n != pb.count || maxDirty != pb.maxDirty {
+			t.Fatalf("bucket pop %d: %d listed, count %d, maxDirty %d want %d", pb.pop, n, pb.count, pb.maxDirty, maxDirty)
+		}
+		listed += n
+	}
+	if listed != len(c.blocks) {
+		t.Fatalf("%d blocks listed in buckets, %d buffered", listed, len(c.blocks))
+	}
+}
+
+// TestLARHeapHoldsOnlyOccupiedBuckets replays 1M single-page zipf writes
+// over 2,048 pages into a 4,096-page cache, so nothing is ever evicted and
+// every write moves one block to a new popularity bucket. The popularity
+// heap must end with no more entries than occupied buckets. A heap that
+// drops emptied buckets lazily, only when they surface at its top, held
+// 949,557 entries for the 32 buckets here.
+func TestLARHeapHoldsOnlyOccupiedBuckets(t *testing.T) {
+	c := NewLAR(4096, 64, DefaultLAROptions())
+	rng := rand.New(rand.NewSource(7))
+	z := rand.NewZipf(rng, 1.2, 1, 2047)
+	for i := 0; i < 1_000_000; i++ {
+		c.Access(Request{LPN: int64(z.Uint64()), Pages: 1, Write: true})
+	}
+	if len(c.popHeap) > len(c.buckets) {
+		t.Fatalf("popularity heap holds %d entries for %d occupied buckets", len(c.popHeap), len(c.buckets))
+	}
+	checkBuckets(t, c)
 }
 
 // TestLARZeroCapacity ensures a zero-capacity cache acts as write-through.

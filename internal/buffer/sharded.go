@@ -149,15 +149,14 @@ type ShardRun struct {
 	Pages int
 }
 
-// SplitRequest cuts a multi-page request at shard boundaries. Blocks are
-// never split, so each run is a whole number of (possibly partial first
-// and last) block spans that map to the same shard. For a single shard
-// the request comes back whole.
-func (s *Sharded) SplitRequest(lpn int64, pages int) []ShardRun {
+// AppendRuns cuts a multi-page request at shard boundaries and appends the
+// runs to runs. Blocks are never split, so each run is a whole number of
+// (possibly partial first and last) block spans that map to the same
+// shard. For a single shard the request comes back whole.
+func (s *Sharded) AppendRuns(runs []ShardRun, lpn int64, pages int) []ShardRun {
 	if pages <= 0 {
-		return nil
+		return runs
 	}
-	runs := make([]ShardRun, 0, 2)
 	start := lpn
 	cur := s.ShardIndex(lpn)
 	for p := lpn + 1; p < lpn+int64(pages); p++ {
@@ -172,7 +171,8 @@ func (s *Sharded) SplitRequest(lpn int64, pages int) []ShardRun {
 // Access applies one request, splitting it across the shards it touches.
 func (s *Sharded) Access(req Request) Result {
 	var out Result
-	for _, run := range s.SplitRequest(req.LPN, req.Pages) {
+	var buf [4]ShardRun
+	for _, run := range s.AppendRuns(buf[:0], req.LPN, req.Pages) {
 		cell := &s.cells[run.Shard]
 		cell.mu.Lock()
 		r := cell.c.Access(Request{LPN: run.LPN, Pages: run.Pages, Write: req.Write})

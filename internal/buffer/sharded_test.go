@@ -25,7 +25,7 @@ func TestShardedRouting(t *testing.T) {
 	}
 	// 3 blocks starting mid-block: runs must cut at block boundaries and
 	// cover the request exactly.
-	runs := s.SplitRequest(5, 2*ppb)
+	runs := s.AppendRuns(nil, 5, 2*ppb)
 	total := 0
 	next := int64(5)
 	for _, r := range runs {

@@ -5,20 +5,14 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"flashcoop/internal/testutil"
 )
 
 // Allocation ceilings for the write-ack path, one per layer, so a
 // regression names the layer that started allocating. Each runs the
 // operation once to warm its reused buffers, then measures the steady
 // state with testing.AllocsPerRun.
-
-// skipUnderRace skips allocation ceilings in -race builds.
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-}
 
 // onePageForward is the frame a healthy one-page write sends its partner.
 func onePageForward(ps int) *Message {
@@ -31,7 +25,7 @@ func onePageForward(ps int) *Message {
 // TestAllocsReadFrameInto: decoding a one-page forward frame into a
 // reused Message and body buffer allocates nothing.
 func TestAllocsReadFrameInto(t *testing.T) {
-	skipUnderRace(t)
+	testutil.SkipUnderRace(t)
 	var wire bytes.Buffer
 	if err := WriteFrameV2(&wire, onePageForward(4096)); err != nil {
 		t.Fatal(err)
@@ -58,7 +52,7 @@ func TestAllocsReadFrameInto(t *testing.T) {
 // TestAllocsApplyBackup: overwriting a page already in an origin's hold
 // allocates nothing (the page buffer, hold maps and reply are reused).
 func TestAllocsApplyBackup(t *testing.T) {
-	skipUnderRace(t)
+	testutil.SkipUnderRace(t)
 	n := bareNode(t)
 	m := onePageForward(n.pageSize)
 	var ack Message
@@ -75,7 +69,7 @@ func TestAllocsApplyBackup(t *testing.T) {
 // TestAllocsReplyEncode: handling a forward and encoding its ack into the
 // connection's reply batch, then flushing it, allocates nothing.
 func TestAllocsReplyEncode(t *testing.T) {
-	skipUnderRace(t)
+	testutil.SkipUnderRace(t)
 	n := bareNode(t)
 	req := onePageForward(n.pageSize)
 	var (
@@ -100,13 +94,12 @@ func TestAllocsReplyEncode(t *testing.T) {
 // TestAllocsLiveWrite bounds a whole one-page Write on a healthy pair over
 // the in-process transport: buffer insert, forward, partner apply and
 // ack. Before the per-connection decode buffers, in-place replies and the
-// per-link completion goroutine it measured 55 allocations; it now
-// measures 10, none of them in this package's forward path: the LAR's
-// popularity-bucket bookkeeping (5), the in-process transport's copy of
-// each written chunk (4: three pieces of the forward frame, one ack) and
-// the shard split (1).
+// per-link completion goroutine it measured 55 allocations. With LAR's
+// intrusive bucket lists and the shard split appending into the write's
+// pooled scratch it measures 4, all in the in-process transport's copy of
+// each written chunk: three pieces of the forward frame and one ack.
 func TestAllocsLiveWrite(t *testing.T) {
-	skipUnderRace(t)
+	testutil.SkipUnderRace(t)
 	a, _ := inprocPair(t, func(cfg *LiveConfig) {
 		cfg.HeartbeatInterval = time.Hour
 	})
@@ -119,7 +112,7 @@ func TestAllocsLiveWrite(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		write()
 	}
-	const ceiling = 12
+	const ceiling = 5
 	if got := testing.AllocsPerRun(500, write); got > ceiling {
 		t.Fatalf("one-page Write: %.1f allocs, ceiling %d", got, ceiling)
 	}

@@ -1004,7 +1004,8 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 		copies[i] = pg
 	}
 
-	runs := n.buf.SplitRequest(lpn, pages)
+	ws.runs = n.buf.AppendRuns(ws.runs[:0], lpn, pages)
+	runs := ws.runs
 	for _, run := range runs {
 		sh := &n.shards[run.Shard]
 		n.buf.LockShard(run.Shard)
@@ -1114,13 +1115,14 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 	return nil
 }
 
-// writeScratch is one Write call's working set: the page LPNs, stamps and
-// buffer copies, the forward plan, and one ack channel per planned group.
-// Write takes it from writeScratchPool and returns it only when every
-// forward it carried was acked: the LPN and stamp slices ride in the
-// queued frames by reference, so a failed or abandoned forward's scratch
-// is left to the collector.
+// writeScratch is one Write call's working set: the shard runs, the page
+// LPNs, stamps and buffer copies, the forward plan, and one ack channel
+// per planned group. Write takes it from writeScratchPool and returns it
+// only when every forward it carried was acked: the LPN and stamp slices
+// ride in the queued frames by reference, so a failed or abandoned
+// forward's scratch is left to the collector.
 type writeScratch struct {
+	runs   []buffer.ShardRun
 	lpns   []int64
 	stamps []uint64
 	copies [][]byte
@@ -1236,7 +1238,8 @@ func (n *LiveNode) Read(lpn int64, pages int) ([]byte, error) {
 	atomic.AddInt64(&n.stats.Reads, 1)
 	n.winReads.Add(1)
 	var fills, misses []int64
-	for _, run := range n.buf.SplitRequest(lpn, pages) {
+	var runBuf [4]buffer.ShardRun
+	for _, run := range n.buf.AppendRuns(runBuf[:0], lpn, pages) {
 		sh := &n.shards[run.Shard]
 		fills, misses = fills[:0], misses[:0]
 		n.buf.LockShard(run.Shard)

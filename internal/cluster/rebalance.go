@@ -173,7 +173,8 @@ func (n *LiveNode) StartRebalance(interval time.Duration) {
 func (n *LiveNode) Trim(lpn int64, pages int) error {
 	var dropped []int64
 	var stamps []uint64
-	for _, run := range n.buf.SplitRequest(lpn, pages) {
+	var runBuf [4]buffer.ShardRun
+	for _, run := range n.buf.AppendRuns(runBuf[:0], lpn, pages) {
 		sh := &n.shards[run.Shard]
 		// persistMu keeps a lagging eviction flush from re-persisting a
 		// page this trim is about to remove from the store.

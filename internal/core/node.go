@@ -158,6 +158,10 @@ type Node struct {
 
 	lastReadEnd int64 // end of the previous read, for read-ahead detection
 
+	// fwdLPNs is completeWrite's reused list of the pages a write backs up
+	// at the partner.
+	fwdLPNs []int64
+
 	stats NodeStats
 }
 
@@ -328,8 +332,11 @@ func (n *Node) completeWrite(at sim.VTime, req trace.Request) (sim.VTime, error)
 		}
 	}
 	if n.peerAlive && n.peer != nil {
-		lpns := pageRange(req.LPN, req.Pages)
-		n.peer.remote.Insert(lpns)
+		n.fwdLPNs = n.fwdLPNs[:0]
+		for lpn := req.LPN; lpn < req.End(); lpn++ {
+			n.fwdLPNs = append(n.fwdLPNs, lpn)
+		}
+		n.peer.remote.Insert(n.fwdLPNs)
 		bytes := req.Pages * n.dev.PageSize()
 		n.stats.NetMessages++
 		n.stats.NetBytes += int64(bytes)
@@ -346,7 +353,7 @@ func (n *Node) completeWrite(at sim.VTime, req trace.Request) (sim.VTime, error)
 	if err != nil {
 		return 0, err
 	}
-	for _, lpn := range pageRange(req.LPN, req.Pages) {
+	for lpn := req.LPN; lpn < req.End(); lpn++ {
 		n.buf.MarkClean(lpn)
 	}
 	return done, nil
@@ -357,13 +364,14 @@ func (n *Node) completeWrite(at sim.VTime, req trace.Request) (sim.VTime, error)
 // sequential run additionally triggers asynchronous read-ahead.
 func (n *Node) completeRead(at sim.VTime, req trace.Request, res buffer.Result) (sim.VTime, error) {
 	done := at + n.cfg.BufferHitLatency
-	missRuns := contiguousRuns(res.ReadMisses)
-	for _, run := range missRuns {
-		fin, err := n.dev.Read(at, run[0], len(run))
+	for miss := res.ReadMisses; len(miss) > 0; {
+		k := runLen(miss)
+		fin, err := n.dev.Read(at, miss[0], k)
 		if err != nil {
 			return 0, err
 		}
 		done = sim.Max(done, fin)
+		miss = miss[k:]
 	}
 	sequential := req.LPN == n.lastReadEnd
 	n.lastReadEnd = req.End()
@@ -386,11 +394,13 @@ func (n *Node) prefetch(at sim.VTime, lpn int64) error {
 		pages = int(n.dev.UserPages() - lpn)
 	}
 	res := n.buf.Access(buffer.Request{LPN: lpn, Pages: pages, Write: false})
-	for _, run := range contiguousRuns(res.ReadMisses) {
-		if _, err := n.dev.Read(at, run[0], len(run)); err != nil {
+	for miss := res.ReadMisses; len(miss) > 0; {
+		k := runLen(miss)
+		if _, err := n.dev.Read(at, miss[0], k); err != nil {
 			return err
 		}
-		n.stats.PrefetchedPages += int64(len(run))
+		n.stats.PrefetchedPages += int64(k)
+		miss = miss[k:]
 	}
 	return n.submitFlushes(at, res.Flush)
 }
@@ -404,10 +414,12 @@ func (n *Node) submitFlushes(at sim.VTime, units []buffer.FlushUnit) error {
 		}
 		// Block padding (BPLRU): absent pages are read back from the
 		// SSD before the full-block write.
-		for _, run := range contiguousRuns(u.PadPages) {
-			if _, err := n.dev.Read(at, run[0], len(run)); err != nil {
+		for pad := u.PadPages; len(pad) > 0; {
+			k := runLen(pad)
+			if _, err := n.dev.Read(at, pad[0], k); err != nil {
 				return fmt.Errorf("core %s: pad read: %w", n.cfg.Name, err)
 			}
+			pad = pad[k:]
 		}
 		var err error
 		if u.Contiguous {
@@ -517,12 +529,14 @@ func (n *Node) RecoverFromLocalFailure(at sim.VTime) (sim.VTime, error) {
 	transfer := n.cfg.Net.AckTime(len(lpns) * n.dev.PageSize())
 	n.stats.NetBytes += int64(len(lpns) * n.dev.PageSize())
 	done := at + transfer
-	for _, run := range contiguousRuns(lpns) {
-		fin, err := n.dev.Write(at+transfer, run[0], len(run))
+	for rest := lpns; len(rest) > 0; {
+		k := runLen(rest)
+		fin, err := n.dev.Write(at+transfer, rest[0], k)
 		if err != nil {
 			return 0, fmt.Errorf("core %s: recovery write: %w", n.cfg.Name, err)
 		}
 		done = sim.Max(done, fin)
+		rest = rest[k:]
 	}
 	return done, nil
 }
@@ -569,29 +583,14 @@ func (n *Node) LocalInfo(now sim.VTime) WorkloadInfo {
 	return n.alloc.WindowInfo(mem, cpu, net)
 }
 
-// pageRange lists pages [lpn, lpn+n).
-func pageRange(lpn int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = lpn + int64(i)
+// runLen returns the length of the maximal run of consecutive page
+// numbers that starts pages (which must be non-empty).
+func runLen(pages []int64) int {
+	k := 1
+	for k < len(pages) && pages[k] == pages[k-1]+1 {
+		k++
 	}
-	return out
-}
-
-// contiguousRuns splits ascending page numbers into maximal runs.
-func contiguousRuns(pages []int64) [][]int64 {
-	if len(pages) == 0 {
-		return nil
-	}
-	var runs [][]int64
-	start := 0
-	for i := 1; i <= len(pages); i++ {
-		if i == len(pages) || pages[i] != pages[i-1]+1 {
-			runs = append(runs, pages[start:i])
-			start = i
-		}
-	}
-	return runs
+	return k
 }
 
 // Trim discards n logical pages starting at lpn (a deleted short-lived
@@ -607,7 +606,7 @@ func (n *Node) Trim(at sim.VTime, lpn int64, pages int) error {
 	}
 	var dropped []int64
 	if n.buf != nil {
-		for _, p := range pageRange(lpn, pages) {
+		for p := lpn; p < lpn+int64(pages); p++ {
 			wasDirty := n.buf.IsDirty(p)
 			if n.buf.Invalidate(p) {
 				n.stats.TrimDropped++

@@ -83,10 +83,11 @@ go run ./cmd/loadgen -writers 4 -ops 2000 -compare=false
 go run ./cmd/loadgen -ring-scale 2,3 -writers 4 -ops 2000 -reps 1
 
 # Sharded hot-path smoke: a few iterations of the parallel write/read
-# benchmarks (correctness of the striped buffer under the benchmark
-# harness, not a perf measurement), then one tiny shard-scale rung to
-# exercise the fsync-on-flush evictor pipeline end to end.
-go test -run '^$' -bench 'LiveWriteParallel|LiveReadParallel' -benchtime 100x ./internal/cluster/
+# benchmarks and of the LAR and simulator-replay layer benchmarks
+# (correctness under the benchmark harness, not a perf measurement), then
+# one tiny shard-scale rung to exercise the fsync-on-flush evictor
+# pipeline end to end.
+go test -run '^$' -bench 'LiveWriteParallel|LiveReadParallel|LARAccess|NodeReplayFin1' -benchtime 100x ./internal/cluster/ ./internal/buffer/ ./internal/core/
 go run ./cmd/loadgen -shard-scale 4 -writers 4 -ops 1000 -buffer 256 -evict-queue 1 -reps 1
 
 # Multi-stream smoke: a short run of the flash-wear A/B exercises tagged
