@@ -51,3 +51,68 @@ func TestAllocsLARAccessInsert(t *testing.T) {
 		t.Fatalf("LAR first-touch insert: %.1f allocs per access, want 0", got)
 	}
 }
+
+// TestAllocsLAREvictingWrite: a write that evicts reuses the Result's
+// flush-unit slice and carves the units' pages from a chunked arena (one
+// 8 KB chunk per 1024 flushed pages, which rounds to 0 per access).
+// Whole-block writes evict whole blocks as contiguous runs (evictBlock);
+// one-page writes evict one-page blocks, which small-write clustering
+// gathers into one scattered unit (clusterFlush).
+func TestAllocsLAREvictingWrite(t *testing.T) {
+	testutil.SkipUnderRace(t)
+	for _, tc := range []struct {
+		name       string
+		pages      int
+		contiguous bool
+	}{{"block", 8, true}, {"cluster", 1, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// 16 blocks cycle through room for 8: every write lands on a
+			// block evicted at least a full cycle earlier, so it misses.
+			c := NewLAR(8*tc.pages, 8, DefaultLAROptions())
+			var i, flushes int64
+			write := func() {
+				res := c.Access(Request{LPN: i % 16 * 8, Pages: tc.pages, Write: true})
+				i++
+				for _, u := range res.Flush {
+					if u.Contiguous != tc.contiguous {
+						t.Fatalf("write %d: flush %+v, want contiguous=%v", i, u, tc.contiguous)
+					}
+					flushes++
+				}
+			}
+			for j := 0; j < 200; j++ {
+				write()
+			}
+			flushes = 0
+			if got := testing.AllocsPerRun(1000, write); got != 0 {
+				t.Fatalf("evicting LAR write: %.1f allocs per access, want 0", got)
+			}
+			if flushes == 0 {
+				t.Fatal("no write evicted")
+			}
+		})
+	}
+}
+
+// TestAllocsLARReadMiss: a read of an unbuffered page reports it in
+// ReadMisses (reused scratch) and inserts it clean, dropping a clean
+// victim, without allocating.
+func TestAllocsLARReadMiss(t *testing.T) {
+	testutil.SkipUnderRace(t)
+	// 16 one-page blocks cycle through room for 8 pages: every read misses.
+	c := NewLAR(8, 8, DefaultLAROptions())
+	var i int64
+	read := func() {
+		lpn := i % 16 * 8
+		i++
+		if res := c.Access(Request{LPN: lpn, Pages: 1}); len(res.ReadMisses) != 1 || res.ReadMisses[0] != lpn {
+			t.Fatalf("read of %d: misses %v, want [%d]", lpn, res.ReadMisses, lpn)
+		}
+	}
+	for j := 0; j < 200; j++ {
+		read()
+	}
+	if got := testing.AllocsPerRun(1000, read); got != 0 {
+		t.Fatalf("missing LAR read: %.1f allocs per access, want 0", got)
+	}
+}

@@ -104,6 +104,11 @@ type Cache interface {
 	// IsDirty reports whether lpn is buffered and dirty.
 	IsDirty(lpn int64) bool
 	// Access applies one request and returns hits, misses and evictions.
+	// Result.Flush and Result.ReadMisses may live in memory the cache
+	// reuses: they stay valid only until the next call on the same cache,
+	// so a caller that keeps them longer copies them first. A FlushUnit
+	// copied out keeps its Pages and PadPages, which a cache never
+	// rewrites once returned.
 	Access(req Request) Result
 	// MarkClean clears the dirty flag of a buffered page (used after an
 	// out-of-band flush, e.g. failure recovery).

@@ -68,7 +68,20 @@ type LAR struct {
 	// so steady-state churn does not allocate.
 	free        []*larBlock
 	freeBuckets []*popBucket
+
+	// flushBuf and missBuf back the Result that Access returns (its Flush
+	// units and its ReadMisses); the next Access reuses them (see
+	// Cache.Access). pageBuf is the arena chunk that flush units' Pages
+	// are carved from. A page list is never rewritten once returned, so
+	// units copied out of a Result keep valid pages; a full chunk is left
+	// to the units that still point into it.
+	flushBuf []FlushUnit
+	missBuf  []int64
+	pageBuf  []int64
 }
+
+// pageChunk is how many page numbers one pageBuf chunk holds (8 KB).
+const pageChunk = 1024
 
 // pageState is one page's residency inside its block: absent, buffered
 // clean, or buffered dirty.
@@ -337,6 +350,10 @@ func (c *LAR) Access(req Request) Result {
 	}
 	end := req.LPN + int64(req.Pages)
 	c.touched = c.touched[:0]
+	c.missBuf = c.missBuf[:0]
+	// Zero the last result's units, so that entries past this result's
+	// length never keep a spent page chunk alive.
+	clear(c.flushBuf)
 	for blk := req.LPN / int64(c.ppb); blk*int64(c.ppb) < end; blk++ {
 		lo := blk * int64(c.ppb)
 		hi := lo + int64(c.ppb)
@@ -352,7 +369,13 @@ func (c *LAR) Access(req Request) Result {
 	// Blocks touched by the request in flight are exempt from eviction
 	// (unless nothing else can be evicted): evicting the data the host
 	// just handed us would defeat buffering entirely.
-	res.Flush = c.evictToFit(res.Flush, c.touched)
+	c.flushBuf = c.evictToFit(c.flushBuf[:0], c.touched)
+	if len(c.flushBuf) > 0 {
+		res.Flush = c.flushBuf
+	}
+	if len(c.missBuf) > 0 {
+		res.ReadMisses = c.missBuf
+	}
 	return res
 }
 
@@ -381,7 +404,7 @@ func (c *LAR) accessBlock(blk, lo, hi int64, write bool, res *Result) {
 		}
 		c.stats.MissPages++
 		if !write {
-			res.ReadMisses = append(res.ReadMisses, lpn)
+			c.missBuf = append(c.missBuf, lpn)
 			if !c.opts.BufferReads {
 				continue
 			}
@@ -532,47 +555,56 @@ func (c *LAR) evictBlock(units []FlushUnit, b *larBlock, exclude []int64) []Flus
 	if c.opts.ClusterSmallWrites && flushCount <= c.ppb/4 {
 		return append(units, c.clusterFlush(b, exclude))
 	}
-	pages := c.victimPages(b)
+	c.reservePages()
+	start := len(c.pageBuf)
+	c.appendVictimPages(b)
+	pages := c.pageBuf[start:]
 
 	base := c.base(b)
 	strm := c.streamFor(b.pop, b.count == c.ppb)
-	for _, run := range runsOf(pages) {
-		dirty := 0
-		for _, p := range run {
-			if b.st[p-base] == pageDirty {
+	for i := 0; i < len(pages); {
+		j, dirty := i, 0
+		for ; j < len(pages) && pages[j] == pages[i]+int64(j-i); j++ {
+			if b.st[pages[j]-base] == pageDirty {
 				dirty++
 			}
 		}
-		units = append(units, FlushUnit{Pages: run, Dirty: dirty, Contiguous: true, Stream: strm, Pop: b.pop})
+		units = append(units, FlushUnit{Pages: pages[i:j:j], Dirty: dirty, Contiguous: true, Stream: strm, Pop: b.pop})
 		c.stats.Evictions++
-		c.stats.FlushPages += int64(len(run))
+		c.stats.FlushPages += int64(j - i)
+		i = j
 	}
 	c.release(b)
 	return units
 }
 
-// victimPages returns the pages of a dirty victim that will be flushed:
-// the whole block when FlushCleanWithVictim is set, otherwise dirty only.
-// The offset walk yields them already in ascending order.
-func (c *LAR) victimPages(b *larBlock) []int64 {
+// reservePages makes room in pageBuf for one flush unit's pages (at most
+// a block's worth), starting a fresh chunk when the current one is full.
+func (c *LAR) reservePages() {
+	if cap(c.pageBuf)-len(c.pageBuf) < c.ppb {
+		c.pageBuf = make([]int64, 0, max(pageChunk, c.ppb))
+	}
+}
+
+// appendVictimPages appends to pageBuf the pages of a dirty victim that
+// will be flushed: the whole block when FlushCleanWithVictim is set,
+// otherwise dirty only. The offset walk yields them in ascending order.
+func (c *LAR) appendVictimPages(b *larBlock) {
 	base := c.base(b)
 	if c.opts.FlushCleanWithVictim {
-		pages := make([]int64, 0, b.count)
 		for off, st := range b.st {
 			if st != pageAbsent {
-				pages = append(pages, base+int64(off))
+				c.pageBuf = append(c.pageBuf, base+int64(off))
 			}
 		}
-		return pages
+		return
 	}
-	dirty := make([]int64, 0, b.dirty)
 	for off, st := range b.st {
 		if st == pageDirty {
-			dirty = append(dirty, base+int64(off))
+			c.pageBuf = append(c.pageBuf, base+int64(off))
 		}
 	}
 	c.stats.CleanDrops += int64(b.count - b.dirty)
-	return dirty
 }
 
 // clusterFlush implements the paper's small-write clustering: the victim's
@@ -581,13 +613,14 @@ func (c *LAR) victimPages(b *larBlock) []int64 {
 func (c *LAR) clusterFlush(b *larBlock, exclude []int64) FlushUnit {
 	// Clustering uses dirty pages only; clean pages of participants are
 	// dropped (they are not worth rewriting scattered).
-	cluster := make([]int64, 0, c.ppb)
+	c.reservePages()
+	start := len(c.pageBuf)
 	dirtyTotal := 0
 	take := func(blk *larBlock) {
 		base := c.base(blk)
 		for off, st := range blk.st {
 			if st == pageDirty {
-				cluster = append(cluster, base+int64(off))
+				c.pageBuf = append(c.pageBuf, base+int64(off))
 			}
 		}
 		dirtyTotal += blk.dirty
@@ -596,16 +629,17 @@ func (c *LAR) clusterFlush(b *larBlock, exclude []int64) FlushUnit {
 	}
 	pop := b.pop
 	take(b)
-	for len(cluster) < c.ppb && len(c.blocks) > 0 {
+	for len(c.pageBuf)-start < c.ppb && len(c.blocks) > 0 {
 		next := c.victim()
 		if next == nil || next.pop != pop || next.dirty == 0 ||
-			next.dirty > c.ppb/4 || len(cluster)+next.dirty > c.ppb ||
+			next.dirty > c.ppb/4 || len(c.pageBuf)-start+next.dirty > c.ppb ||
 			containsBlk(exclude, next.blk) {
 			break
 		}
 		c.removeBlock(next)
 		take(next)
 	}
+	cluster := c.pageBuf[start:len(c.pageBuf):len(c.pageBuf)]
 	slices.Sort(cluster)
 	c.stats.Evictions++
 	c.stats.FlushPages += int64(len(cluster))

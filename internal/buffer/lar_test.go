@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -394,5 +395,31 @@ func TestLARZeroCapacity(t *testing.T) {
 	}
 	if flushed != 2 || c.Len() != 0 {
 		t.Fatalf("zero-cap cache kept pages: flush=%v len=%d", res.Flush, c.Len())
+	}
+}
+
+// A flush unit copied out of a Result keeps its pages: LAR reuses the
+// Flush and ReadMisses slices across calls but never rewrites a page list
+// it has returned, so a caller may keep units by value (as a replay that
+// collects every eviction does).
+func TestLARFlushPagesOutliveLaterAccesses(t *testing.T) {
+	c := NewLAR(64, 8, DefaultLAROptions())
+	rng := rand.New(rand.NewSource(3))
+	var kept []FlushUnit
+	var want [][]int64
+	for i := 0; i < 20000; i++ {
+		res := c.Access(Request{LPN: rng.Int63n(4096), Pages: 1 + rng.Intn(8), Write: rng.Intn(4) != 0})
+		for _, u := range res.Flush {
+			kept = append(kept, u)
+			want = append(want, slices.Clone(u.Pages))
+		}
+	}
+	if len(kept) < 1000 {
+		t.Fatalf("only %d flush units; the test needs churn", len(kept))
+	}
+	for i, u := range kept {
+		if !slices.Equal(u.Pages, want[i]) {
+			t.Fatalf("unit %d pages changed after later accesses: %v, want %v", i, u.Pages, want[i])
+		}
 	}
 }

@@ -176,11 +176,13 @@ func (s *Sharded) Access(req Request) Result {
 		cell := &s.cells[run.Shard]
 		cell.mu.Lock()
 		r := cell.c.Access(Request{LPN: run.LPN, Pages: run.Pages, Write: req.Write})
+		// The shard's result is reused by its next Access, which another
+		// caller may make once the lock drops: copy it out under the lock.
+		out.ReadMisses = append(out.ReadMisses, r.ReadMisses...)
+		out.Flush = append(out.Flush, r.Flush...)
 		cell.mu.Unlock()
 		out.ReadHits += r.ReadHits
 		out.WriteHits += r.WriteHits
-		out.ReadMisses = append(out.ReadMisses, r.ReadMisses...)
-		out.Flush = append(out.Flush, r.Flush...)
 	}
 	return out
 }

@@ -84,13 +84,20 @@ func BenchmarkLiveWriteRTT(b *testing.B) {
 // benchPair builds a cooperative pair with the given shard count for the
 // parallel benchmarks. Buffers are sized small relative to the touched LPN
 // range so the write benchmark constantly evicts through the background
-// flush pipeline.
-func benchPair(b *testing.B, shards, bufPages int) *LiveNode {
+// flush pipeline. With fileStore each node keeps its pages in a file
+// store under its own temporary DataDir.
+func benchPair(b *testing.B, shards, bufPages int, fileStore bool) *LiveNode {
 	b.Helper()
+	dataDir := func() string {
+		if fileStore {
+			return b.TempDir()
+		}
+		return ""
+	}
 	a, err := NewLiveNode(LiveConfig{
 		Name: "a", ListenAddr: "127.0.0.1:0",
 		BufferPages: bufPages, RemotePages: 1 << 20, SSD: liveSSD(),
-		Shards: shards,
+		Shards: shards, DataDir: dataDir(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -98,7 +105,7 @@ func benchPair(b *testing.B, shards, bufPages int) *LiveNode {
 	bn, err := NewLiveNode(LiveConfig{
 		Name: "b", ListenAddr: "127.0.0.1:0", PeerAddr: a.Addr(),
 		BufferPages: bufPages, RemotePages: 1 << 20, SSD: liveSSD(),
-		Shards: shards,
+		Shards: shards, DataDir: dataDir(),
 	})
 	if err != nil {
 		a.Close()
@@ -121,7 +128,7 @@ func benchPair(b *testing.B, shards, bufPages int) *LiveNode {
 func BenchmarkLiveWriteParallel(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			bn := benchPair(b, shards, 256)
+			bn := benchPair(b, shards, 256, false)
 			ps := bn.Device().PageSize()
 			user := bn.Device().UserPages()
 			var next atomic.Int64
@@ -144,11 +151,17 @@ func BenchmarkLiveWriteParallel(b *testing.B) {
 
 // BenchmarkLiveReadParallel measures parallel readers over a working set
 // larger than the buffer, so reads mix shard-striped cache hits with
-// store lookups.
+// store lookups: from an in-memory store at several shard counts, and
+// (store=file) from the checksummed file store, which reads and verifies
+// a whole record per store hit.
 func BenchmarkLiveReadParallel(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			bn := benchPair(b, shards, 256)
+	for _, bc := range []struct {
+		name      string
+		shards    int
+		fileStore bool
+	}{{"shards=1", 1, false}, {"shards=4", 4, false}, {"shards=16", 16, false}, {"store=file", 4, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			bn := benchPair(b, bc.shards, 256, bc.fileStore)
 			ps := bn.Device().PageSize()
 			pg := make([]byte, ps)
 			span := bn.Device().UserPages() / 8

@@ -500,7 +500,7 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		go n.gc.run(&n.wg)
 	}
 	// Integrity hooks must be wired before any evictor or serve goroutine
-	// can touch the store (they fire from flush/get deep inside persist
+	// can touch the store (they fire from flush/getInto deep inside persist
 	// critical sections).
 	n.initIntegrity()
 	n.wg.Add(1 + ns)
@@ -1212,36 +1212,56 @@ func (n *LiveNode) admitWrite() error {
 
 func (n *LiveNode) releaseWrite() { <-n.admit }
 
-// Read returns the payload of `pages` pages starting at lpn. Unwritten
-// pages read as zeros. The payload lookup chain per page is: the shard's
-// dirty map (newest acked version) → the inflight map (evicted but not
-// yet durable — a read during an in-flight flush must see the pinned
-// dirty payload, never a half-persisted store state) → off the shard
-// lock, the victim tier (buffer misses only; a hit skips the home read
-// entirely) → the store, with the home device charged for the misses it
-// actually serves.
-//
-// Only the RAM resolution (dirty/inflight) and the policy Access run
-// under the shard lock; the victim probe, store reads, and device
-// charges all run after it is released, so a miss-heavy reader no
-// longer serializes writers to the same shard behind fill latency. The
-// off-lock fill is race-safe because every source hands back an owned
-// copy (both stores copy on get, the victim copies under its own lock),
-// and a write racing the fill simply lands before or after it — the
-// same either-version outcome any overlapping read/write pair has.
+// Read returns the payload of `pages` pages starting at lpn in a new
+// buffer the caller owns; see ReadInto.
 func (n *LiveNode) Read(lpn int64, pages int) ([]byte, error) {
 	if pages <= 0 {
 		return nil, fmt.Errorf("cluster %s: empty read", n.cfg.Name)
 	}
+	out := make([]byte, pages*n.pageSize)
+	if err := n.ReadInto(lpn, pages, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto reads `pages` pages starting at lpn into dst, which must hold
+// exactly pages × PageSize bytes. Unwritten pages read as zeros. The
+// payload lookup chain per page is: the shard's dirty map (newest acked
+// version) → the inflight map (evicted but not yet durable — a read
+// during an in-flight flush must see the pinned dirty payload, never a
+// half-persisted store state) → off the shard lock, the victim tier
+// (buffer misses only; a hit skips the home read entirely) → the store,
+// with the home device charged for the misses it actually serves.
+//
+// Every source copies its page straight into dst, once: no layer makes a
+// page of its own. Only the RAM resolution (dirty/inflight) and the
+// policy Access run under the shard lock; the victim probe, store reads,
+// and device charges all run after it is released, so a miss-heavy
+// reader no longer serializes writers to the same shard behind fill
+// latency. The off-lock fill is race-safe because each source copies
+// under its own synchronization (a store section under its lock or, for
+// a file section, from a record it read and verified into its own pooled
+// buffer; the victim tier under its lock), and a write racing the fill
+// simply lands before or after it — the same either-version outcome any
+// overlapping read/write pair has.
+func (n *LiveNode) ReadInto(lpn int64, pages int, dst []byte) error {
+	if pages <= 0 {
+		return fmt.Errorf("cluster %s: empty read", n.cfg.Name)
+	}
 	ps := n.pageSize
-	out := make([]byte, pages*ps)
+	if len(dst) != pages*ps {
+		return fmt.Errorf("cluster %s: read of %d pages into %d bytes", n.cfg.Name, pages, len(dst))
+	}
 	atomic.AddInt64(&n.stats.Reads, 1)
 	n.winReads.Add(1)
-	var fills, misses []int64
+	// fills and misses start on the stack; a read longer than the arrays
+	// grows them on the heap.
+	var fillBuf, missBuf [16]int64
 	var runBuf [4]buffer.ShardRun
 	for _, run := range n.buf.AppendRuns(runBuf[:0], lpn, pages) {
 		sh := &n.shards[run.Shard]
-		fills, misses = fills[:0], misses[:0]
+		fills, misses := fillBuf[:0], missBuf[:0]
 		n.buf.LockShard(run.Shard)
 		c := n.buf.ShardCache(run.Shard)
 		res := c.Access(buffer.Request{LPN: run.LPN, Pages: run.Pages, Write: false})
@@ -1254,76 +1274,88 @@ func (n *LiveNode) Read(lpn int64, pages int) ([]byte, error) {
 				}
 			}
 			if src != nil {
-				copy(out[i*ps:(i+1)*ps], src)
+				copy(dst[i*ps:(i+1)*ps], src)
 			} else {
 				fills = append(fills, p)
 			}
 		}
+		// The policy's result is valid only until its next Access, which
+		// another reader may make once the lock drops: copy the misses.
 		misses = append(misses, res.ReadMisses...)
 		jobs := n.extractFlushLocked(sh, res.Flush)
 		n.buf.UnlockShard(run.Shard)
 		n.enqueueFlush(run.Shard, jobs)
-		if derr := n.fillPages(out, lpn, fills, misses); derr != nil {
-			return nil, derr
+		if derr := n.fillPages(dst, lpn, fills, misses); derr != nil {
+			return derr
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // fillPages resolves one shard run's pages that RAM did not hold, with no
-// shard lock held. fills is the pages absent from dirty/inflight (in
-// ascending order); misses is the policy's read-miss list for the same
-// run. Buffer misses probe the victim tier first; every remaining fill
-// reads the store (clean buffer hits model RAM residency, so they are
-// never device-charged). The device is charged one read burst per
-// CONTIGUOUS run of store-served misses: a page served from RAM or the
-// victim tier between two misses splits the charge instead of being
-// billed as part of one run.
+// shard lock held. fills is the pages absent from dirty/inflight and
+// misses the policy's read-miss list for the same run, both ascending, so
+// one merge walk tells which fills are buffer misses. Buffer misses probe
+// the victim tier first; every remaining fill reads the store (clean
+// buffer hits model RAM residency, so they are never device-charged), and
+// a page no source holds is zeroed. The device is charged one read burst
+// per CONTIGUOUS run of store-served misses, as the walk closes each run:
+// a page served from RAM or the victim tier between two misses splits the
+// charge instead of being billed as part of one run.
 func (n *LiveNode) fillPages(out []byte, base int64, fills, misses []int64) error {
-	if len(fills) == 0 {
-		return nil
-	}
 	ps := n.pageSize
-	missSet := make(map[int64]struct{}, len(misses))
-	for _, p := range misses {
-		missSet[p] = struct{}{}
-	}
-	var charge []int64
+	var runLPN int64 // first page of the pending device charge
+	runLen := 0
 	for _, p := range fills {
+		for len(misses) > 0 && misses[0] < p {
+			misses = misses[1:]
+		}
+		isMiss := len(misses) > 0 && misses[0] == p
 		i := int(p - base)
 		dst := out[i*ps : (i+1)*ps]
-		_, isMiss := missSet[p]
 		if isMiss && n.victim != nil {
 			if _, ok := n.victim.GetInto(p, dst); ok {
 				n.paceVictim(n.victimReadSvc)
 				continue
 			}
 		}
-		if src := n.store.get(p); src != nil {
-			copy(dst, src)
+		if n.store.getInto(p, dst) {
 			if isMiss && n.victim != nil {
-				n.offerFill(p, src)
+				n.offerFill(p, dst)
 			}
+		} else {
+			clear(dst)
 		}
-		if isMiss {
-			charge = append(charge, p)
+		if !isMiss {
+			continue
 		}
+		if runLen > 0 && p == runLPN+int64(runLen) {
+			runLen++
+			continue
+		}
+		if err := n.chargeRead(runLPN, runLen); err != nil {
+			return err
+		}
+		runLPN, runLen = p, 1
 	}
-	for i := 0; i < len(charge); {
-		j := i + 1
-		for j < len(charge) && charge[j] == charge[j-1]+1 {
-			j++
-		}
-		n.devMu.Lock()
-		done, derr := n.dev.Read(n.vnow(), charge[i], j-i)
-		n.devMu.Unlock()
-		if derr != nil {
-			return derr
-		}
-		// Off the shard lock, so a paced miss delays only its own reader.
-		n.paceDevice(done)
-		i = j
+	return n.chargeRead(runLPN, runLen)
+}
+
+// chargeRead bills one contiguous burst of store-served read misses to
+// the home device and paces the reader to its completion; an empty burst
+// costs nothing.
+func (n *LiveNode) chargeRead(lpn int64, pages int) error {
+	if pages == 0 {
+		return nil
 	}
+	n.devMu.Lock()
+	done, err := n.dev.Read(n.vnow(), lpn, pages)
+	n.devMu.Unlock()
+	if err != nil {
+		return err
+	}
+	// Off the shard lock, so a paced miss delays only its own reader.
+	n.paceDevice(done)
 	return nil
 }
 
@@ -1923,5 +1955,9 @@ func (n *LiveNode) SnapshotRemoteFor(origin string) map[int64][]byte {
 // DurableGet returns a copy of the persisted payload for lpn, or nil when
 // the page has never been flushed. Inspection hook for invariant checkers.
 func (n *LiveNode) DurableGet(lpn int64) []byte {
-	return n.store.get(lpn)
+	pg := make([]byte, n.pageSize)
+	if !n.store.getInto(lpn, pg) {
+		return nil
+	}
+	return pg
 }

@@ -33,13 +33,15 @@ var ErrSyncPoisoned = errors.New("cluster: store section poisoned by failed fsyn
 //
 // Implementations are safe for concurrent use: reads, repair, and
 // recovery reach a section beside its shard's evictor, so sections
-// synchronize internally instead of leaning on a caller's lock. get
-// returns a copy that the caller owns — mutating a read result can never
-// corrupt the store.
+// synchronize internally instead of leaning on a caller's lock. getInto
+// writes into a buffer the caller owns and never hands out the store's own
+// memory — mutating a read result can never corrupt the store.
 type section interface {
-	// get returns a copy of the stored payload for lpn, or nil when absent
-	// (or, for checksummed stores, when the record fails verification).
-	get(lpn int64) []byte
+	// getInto copies the stored payload for lpn into dst (one page) and
+	// reports true. It reports false, leaving dst untouched, when lpn is
+	// absent or, for checksummed stores, when the record fails
+	// verification: unverified bytes never reach dst.
+	getInto(lpn int64, dst []byte) bool
 	// getStamp returns the stored write stamp for lpn.
 	getStamp(lpn int64) (uint64, bool)
 	// put stores the payload (exactly one page) with its write stamp.
@@ -92,16 +94,14 @@ type memPage struct {
 
 func newMemStore() *memStore { return &memStore{m: make(map[int64]memPage)} }
 
-func (s *memStore) get(lpn int64) []byte {
+func (s *memStore) getInto(lpn int64, dst []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p, ok := s.m[lpn]
-	if !ok {
-		return nil
+	if ok {
+		copy(dst, p.data)
 	}
-	cp := make([]byte, len(p.data))
-	copy(cp, p.data)
-	return cp
+	return ok
 }
 
 func (s *memStore) getStamp(lpn int64) (uint64, bool) {
@@ -278,7 +278,7 @@ type fileStore struct {
 	onPoison   func(err error)
 
 	// syncMu serializes fsync, deliberately apart from mu: holding the
-	// record lock across f.Sync would stall every put (and get) behind the
+	// record lock across f.Sync would stall every put (and getInto) behind the
 	// sync, re-serializing exactly the put/fsync overlap the group-commit
 	// pipeline depends on. synced is the put generation the last completed
 	// sync covered; a flush whose target generation is already covered
@@ -286,6 +286,11 @@ type fileStore struct {
 	// the file level.
 	syncMu sync.Mutex
 	synced uint64 // guarded by syncMu
+
+	// recPool recycles the whole-record buffers (*[]byte of recordSize
+	// bytes) that getInto and verify pread into, so a read verifies its
+	// record without allocating one.
+	recPool sync.Pool
 }
 
 type fileSlot struct {
@@ -336,6 +341,7 @@ func newFileStoreFS(fsys faultfs.FS, dir, name string, pageSize int, syncWrites 
 		index:    make(map[int64]fileSlot),
 		sync:     syncWrites,
 	}
+	s.recPool.New = func() any { rec := make([]byte, s.recordSize()); return &rec }
 	if err := s.load(); err != nil {
 		s.f.Close()
 		return nil, err
@@ -438,11 +444,13 @@ func (s *fileStore) freeSlotOnDisk(slot int64) {
 	s.f.WriteAt(rec, s.slotOff(slot)) //nolint:errcheck // best effort
 }
 
-// get returns the verified payload for lpn, or nil. A record that fails
-// its checksum or does not self-describe as (lpn, indexed stamp) — a
-// torn, misdirected, or bit-rotted write — is reported once through
-// onCorrupt and KEPT in the index: its cached stamp still ranks repair
-// candidates, and a later put (repair or fresh write) heals the slot.
+// getInto copies lpn's verified payload into dst. The record is read into
+// a pooled buffer and checked there; only a record that passes reaches
+// dst. A record that fails its checksum or does not self-describe as
+// (lpn, indexed stamp) — a torn, misdirected, or bit-rotted write —
+// reports false, is reported once through onCorrupt and is KEPT in the
+// index: its cached stamp still ranks repair candidates, and a later put
+// (repair or fresh write) heals the slot.
 //
 // The pread runs with s.mu RELEASED: a read miss stalled in disk latency
 // must not serialize every put to the section behind it (the off-lock
@@ -452,16 +460,18 @@ func (s *fileStore) freeSlotOnDisk(slot int64) {
 // afterwards, and a snapshot that changed mid-read retries instead of
 // being misreported as corruption. The retry terminates because each
 // iteration means a concurrent writer advanced the entry.
-func (s *fileStore) get(lpn int64) []byte {
+func (s *fileStore) getInto(lpn int64, dst []byte) bool {
+	recp := s.recPool.Get().(*[]byte)
+	defer s.recPool.Put(recp)
+	rec := *recp
 	for {
 		s.mu.Lock()
 		fs, ok := s.index[lpn]
 		f := s.f
 		s.mu.Unlock()
 		if !ok {
-			return nil
+			return false
 		}
-		rec := make([]byte, s.recordSize())
 		_, rerr := f.ReadAt(rec, s.slotOff(fs.slot))
 		var glpn int64
 		var gstamp uint64
@@ -474,7 +484,7 @@ func (s *fileStore) get(lpn int64) []byte {
 		cur, ok := s.index[lpn]
 		if !ok {
 			s.mu.Unlock()
-			return nil // removed mid-read; the torn view is meaningless
+			return false // removed mid-read; the torn view is meaningless
 		}
 		if cur.slot != fs.slot || cur.stamp != fs.stamp {
 			s.mu.Unlock()
@@ -498,13 +508,14 @@ func (s *fileStore) get(lpn int64) []byte {
 				s.index[lpn] = cur
 			}
 			s.mu.Unlock()
-			return rec[slotHeaderSize:]
+			copy(dst, rec[slotHeaderSize:])
+			return true
 		}
 		s.mu.Unlock()
 		if report != nil {
 			report(lpn)
 		}
-		return nil
+		return false
 	}
 }
 
@@ -517,7 +528,9 @@ func (s *fileStore) verify(lpn int64) bool {
 	if !ok {
 		return false
 	}
-	rec := make([]byte, s.recordSize())
+	recp := s.recPool.Get().(*[]byte)
+	defer s.recPool.Put(recp)
+	rec := *recp
 	if _, err := s.f.ReadAt(rec, s.slotOff(fs.slot)); err != nil {
 		return false
 	}
@@ -883,8 +896,8 @@ func (s *shardedStore) sub(lpn int64) section {
 	return s.subs[uint64(lpn/s.ppb)%uint64(len(s.subs))]
 }
 
-func (s *shardedStore) get(lpn int64) []byte              { return s.sub(lpn).get(lpn) }
-func (s *shardedStore) getStamp(lpn int64) (uint64, bool) { return s.sub(lpn).getStamp(lpn) }
+func (s *shardedStore) getInto(lpn int64, dst []byte) bool { return s.sub(lpn).getInto(lpn, dst) }
+func (s *shardedStore) getStamp(lpn int64) (uint64, bool)  { return s.sub(lpn).getStamp(lpn) }
 func (s *shardedStore) put(lpn int64, data []byte, stamp uint64) error {
 	return s.sub(lpn).put(lpn, data, stamp)
 }

@@ -7,7 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"flashcoop/internal/faultfs"
 )
@@ -135,10 +137,10 @@ func TestFileStoreLoadDetectsCorruption(t *testing.T) {
 	if s.takeCorrupt() != nil {
 		t.Fatal("takeCorrupt not drained")
 	}
-	if s.get(11) != nil {
+	if storeGet(s, 11, s.pageSize) != nil {
 		t.Fatal("corrupt record served")
 	}
-	if s.get(10) == nil || s.get(12) == nil {
+	if storeGet(s, 10, s.pageSize) == nil || storeGet(s, 12, s.pageSize) == nil {
 		t.Fatal("intact neighbors lost")
 	}
 	// The freed slot is reusable and the store works on.
@@ -160,7 +162,7 @@ func TestFileStoreLoadDetectsCorruption(t *testing.T) {
 	s.close()
 }
 
-// Corruption that lands while the store is open is caught by get (counted
+// Corruption that lands while the store is open is caught by getInto (counted
 // once, reported once through onCorrupt, healed by a fresh put) and by
 // the scrubber.
 func TestFileStoreRuntimeCorruptionAndScrub(t *testing.T) {
@@ -191,11 +193,13 @@ func TestFileStoreRuntimeCorruptionAndScrub(t *testing.T) {
 	f.WriteAt(b[:], off)
 	f.Close()
 
-	if s.get(2) != nil {
+	if storeGet(s, 2, s.pageSize) != nil {
 		t.Fatal("rotted record served")
 	}
-	if s.get(2) != nil { // second read: no double count
-		t.Fatal("rotted record served")
+	// Second read, into a buffer holding other bytes: no double count, and
+	// none of the rotted record reaches dst.
+	if dst := fillPage(ps, 0xEE); s.getInto(2, dst) || !bytes.Equal(dst, fillPage(ps, 0xEE)) {
+		t.Fatal("rotted record's bytes reached dst")
 	}
 	if s.corruptCount() != 1 || len(reported) != 1 || reported[0] != 2 {
 		t.Fatalf("count=%d reported=%v, want 1/[2]", s.corruptCount(), reported)
@@ -221,7 +225,7 @@ func TestFileStoreRuntimeCorruptionAndScrub(t *testing.T) {
 	if err := s.put(2, fillPage(ps, 0xFF), 40); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.get(2); got == nil || got[0] != 0xFF {
+	if got := storeGet(s, 2, s.pageSize); got == nil || got[0] != 0xFF {
 		t.Fatal("healed record unreadable")
 	}
 	if _, _, bad := s.scrubRange(0, 1024); len(bad) != 0 {
@@ -229,7 +233,7 @@ func TestFileStoreRuntimeCorruptionAndScrub(t *testing.T) {
 	}
 }
 
-// The scrubber also detects rot that get() has not touched yet, reporting
+// The scrubber also detects rot that getInto has not touched yet, reporting
 // it through onCorrupt exactly once across passes.
 func TestFileStoreScrubDetectsColdRot(t *testing.T) {
 	dir := t.TempDir()
@@ -363,10 +367,72 @@ func TestFileStorePoisonLatch(t *testing.T) {
 		t.Fatalf("onPoison fired %d times, want once", len(hooks))
 	}
 	// Reads still work — the surviving records stay readable.
-	if got := s.get(1); got == nil || got[0] != 1 {
+	if got := storeGet(s, 1, s.pageSize); got == nil || got[0] != 1 {
 		t.Fatal("read on poisoned section lost data")
 	}
 	if err := s.close(); !errors.Is(err, ErrSyncPoisoned) {
 		t.Fatalf("close = %v, want poison surfaced", err)
+	}
+}
+
+// A record that rots under a live node reads as zeros: the file section
+// verifies each record in its own buffer and copies only a verified
+// payload, so ReadInto zeroes the page even in a buffer that held other
+// bytes. The rot is reported once, and a later put heals the slot. The
+// test's hook replaces the node's (which would queue a ring repair) so
+// that only the put can heal it.
+func TestLiveReadOfCorruptRecordReadsZeros(t *testing.T) {
+	a, _ := inprocPair(t, func(cfg *LiveConfig) {
+		cfg.DataDir = t.TempDir()
+		cfg.Shards = 1
+		cfg.HeartbeatInterval = time.Hour
+	})
+	ps := a.Device().PageSize()
+	const lpn = int64(5)
+	if err := a.Write(lpn, fillPage(ps, 0xAB)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	sec := a.store.files[0]
+	var mu sync.Mutex
+	var reported []int64
+	sec.mu.Lock()
+	sec.onCorrupt = func(l int64) { mu.Lock(); reported = append(reported, l); mu.Unlock() }
+	sec.mu.Unlock()
+	scanRecord(t, filepath.Join(a.cfg.DataDir, shardStoreName(0)), ps, lpn, true)
+
+	dst := fillPage(ps, 0xEE)
+	if err := a.ReadInto(lpn, 1, dst); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, make([]byte, ps)) {
+		t.Fatalf("ReadInto of a rotted record left %#x..., want zeros", dst[:4])
+	}
+	got, err := a.Read(lpn, 1) // second read: no second report
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, ps)) {
+		t.Fatalf("Read of a rotted record = %#x..., want zeros", got[:4])
+	}
+	mu.Lock()
+	if len(reported) != 1 || reported[0] != lpn {
+		t.Fatalf("onCorrupt reports %v, want [%d] once", reported, lpn)
+	}
+	mu.Unlock()
+
+	if err := a.Write(lpn, fillPage(ps, 0xCD)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !sec.verify(lpn) {
+		t.Fatal("put did not heal the rotted slot")
+	}
+	if got, err := a.Read(lpn, 1); err != nil || !bytes.Equal(got, fillPage(ps, 0xCD)) {
+		t.Fatalf("read after heal = %#x..., %v; want the new payload", got[:4], err)
 	}
 }

@@ -7,15 +7,25 @@ import (
 	"time"
 )
 
+// storeGet reads lpn's ps-byte payload from s into a fresh buffer, or
+// returns nil when getInto reports it absent or unverified.
+func storeGet(s section, lpn int64, ps int) []byte {
+	pg := make([]byte, ps)
+	if !s.getInto(lpn, pg) {
+		return nil
+	}
+	return pg
+}
+
 func TestMemStoreBasics(t *testing.T) {
 	s := newMemStore()
-	if s.get(1) != nil || s.pages() != 0 {
+	if storeGet(s, 1, 1) != nil || s.pages() != 0 {
 		t.Fatal("empty store not empty")
 	}
 	if err := s.put(1, []byte{0xAA}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.get(1); got == nil || got[0] != 0xAA {
+	if got := storeGet(s, 1, 1); got == nil || got[0] != 0xAA {
 		t.Fatal("get after put wrong")
 	}
 	if st, ok := s.getStamp(1); !ok || st != 5 {
@@ -27,7 +37,7 @@ func TestMemStoreBasics(t *testing.T) {
 	if err := s.remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if s.get(1) != nil || s.pages() != 0 {
+	if storeGet(s, 1, 1) != nil || s.pages() != 0 {
 		t.Fatal("remove failed")
 	}
 	if err := s.close(); err != nil {
@@ -61,7 +71,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if s.pages() != 20 {
 		t.Fatalf("pages = %d", s.pages())
 	}
-	if got := s.get(0); !bytes.Equal(got, pg(0xEE)) {
+	if got := storeGet(s, 0, ps); !bytes.Equal(got, pg(0xEE)) {
 		t.Fatal("overwrite lost")
 	}
 	// Remove frees a slot that a later put reuses.
@@ -88,13 +98,13 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if s2.pages() != 20 {
 		t.Fatalf("pages after reopen = %d", s2.pages())
 	}
-	if got := s2.get(0); !bytes.Equal(got, pg(0xEE)) {
+	if got := storeGet(s2, 0, ps); !bytes.Equal(got, pg(0xEE)) {
 		t.Fatal("page 0 lost across restart")
 	}
-	if s2.get(7) != nil {
+	if storeGet(s2, 7, ps) != nil {
 		t.Fatal("removed page resurrected")
 	}
-	if got := s2.get(999); !bytes.Equal(got, pg(0x77)) {
+	if got := storeGet(s2, 999, ps); !bytes.Equal(got, pg(0x77)) {
 		t.Fatal("page 999 lost across restart")
 	}
 	// Write stamps survive the restart too: recovery relies on them to
@@ -162,7 +172,7 @@ func TestFileStoreFuzzAgainstMem(t *testing.T) {
 		t.Fatalf("pages: file %d != mem %d", fs.pages(), ms.pages())
 	}
 	for lpn := int64(0); lpn < 64; lpn++ {
-		a, b := fs.get(lpn), ms.get(lpn)
+		a, b := storeGet(fs, lpn, fs.pageSize), storeGet(ms, lpn, fs.pageSize)
 		if (a == nil) != (b == nil) || (a != nil && !bytes.Equal(a, b)) {
 			t.Fatalf("divergence at lpn %d", lpn)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -299,7 +300,7 @@ func (l *peerLink) sendJournalPass(ps int) error {
 // durable payload and stamp of every journaled page. Pages since trimmed
 // (no durable copy) are skipped. The swap is atomic under n.mu; the
 // payload snapshot happens after release (the store is internally
-// synchronized and returns copies).
+// synchronized and copies each page straight into data's tail).
 func (l *peerLink) takeJournal(ps int) (lpns []int64, stamps []uint64, data []byte) {
 	n := l.n
 	n.mu.Lock()
@@ -311,14 +312,17 @@ func (l *peerLink) takeJournal(ps int) (lpns []int64, stamps []uint64, data []by
 	l.outage = make(map[int64]uint64)
 	n.mu.Unlock()
 	for lpn := range old {
-		pg := n.store.get(lpn)
+		data = slices.Grow(data, ps)
+		if !n.store.getInto(lpn, data[len(data):len(data)+ps]) {
+			continue
+		}
 		st, ok := n.store.getStamp(lpn)
-		if pg == nil || !ok {
+		if !ok {
 			continue
 		}
 		lpns = append(lpns, lpn)
 		stamps = append(stamps, st)
-		data = append(data, pg...)
+		data = data[:len(data)+ps]
 	}
 	return lpns, stamps, data
 }

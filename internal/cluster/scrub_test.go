@@ -118,7 +118,7 @@ func TestLiveScrubRepairFromPeer(t *testing.T) {
 	waitFor(t, "ring repair of rotted page", 2*time.Second, func() bool {
 		return a.Stats().RepairedPages >= 1
 	})
-	if got := a.store.get(lpn); got == nil || got[0] != 0xAB {
+	if got := a.DurableGet(lpn); got == nil || got[0] != 0xAB {
 		t.Fatalf("repaired record = %v, want holder copy", got)
 	}
 	if _, corrupt := a.ScrubOnce(); corrupt != 0 {
