@@ -71,6 +71,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -587,42 +588,9 @@ func runOnce(name string, opt options, batch, inflight int) (runResult, error) {
 		span = max
 	}
 	perWriter := opt.ops / opt.writers
-	hists := make(chan *metrics.LatencyHist, opt.writers)
-	errs := make(chan error, opt.writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < opt.writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var h metrics.LatencyHist
-			buf := make([]byte, opt.pages*ps)
-			for i := range buf {
-				buf[i] = byte(w + 1)
-			}
-			base := int64(w) * span
-			for i := 0; i < perWriter; i++ {
-				lpn := base + (int64(i)*int64(opt.pages))%span
-				t0 := time.Now()
-				if err := writer.Write(lpn, buf); err != nil {
-					errs <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-				h.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-			}
-			hists <- &h
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	close(errs)
-	for err := range errs {
+	elapsed, all, err := writerPool(writer, opt.writers, opt.pages, residentSpan(opt.pages, span, perWriter))
+	if err != nil {
 		return runResult{}, err
-	}
-	close(hists)
-	var all metrics.LatencyHist
-	for h := range hists {
-		all.Merge(h)
 	}
 	st := writer.Stats()
 	ops := opt.writers * perWriter
@@ -710,7 +678,6 @@ func runRingOnce(opt options, n int) (ringRun, error) {
 	}
 
 	driven := nodes[0]
-	ps := driven.Device().PageSize()
 	user := driven.Device().UserPages()
 	// Same cache-resident span discipline as runOnce: the rung measures
 	// the replication path, not eviction.
@@ -722,42 +689,9 @@ func runRingOnce(opt options, n int) (ringRun, error) {
 		span = max
 	}
 	perWriter := opt.ops / opt.writers
-	hists := make(chan *metrics.LatencyHist, opt.writers)
-	errs := make(chan error, opt.writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < opt.writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var h metrics.LatencyHist
-			buf := make([]byte, opt.pages*ps)
-			for i := range buf {
-				buf[i] = byte(w + 1)
-			}
-			base := int64(w) * span
-			for i := 0; i < perWriter; i++ {
-				lpn := base + (int64(i)*int64(opt.pages))%span
-				t0 := time.Now()
-				if err := driven.Write(lpn, buf); err != nil {
-					errs <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-				h.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-			}
-			hists <- &h
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	close(errs)
-	for err := range errs {
+	elapsed, all, err := writerPool(driven, opt.writers, opt.pages, residentSpan(opt.pages, span, perWriter))
+	if err != nil {
 		return ringRun{}, err
-	}
-	close(hists)
-	var all metrics.LatencyHist
-	for h := range hists {
-		all.Merge(h)
 	}
 	partners := 0
 	for _, m := range nodes[1:] {
@@ -1005,7 +939,6 @@ func runShardOnce(opt options, shards int) (shardRun, error) {
 		return shardRun{}, err
 	}
 
-	ps := writer.Device().PageSize()
 	ppb := int64(writer.Device().PagesPerBlock())
 	// Writers own disjoint block ranges and stride block-by-block, so
 	// every shard sees traffic and eviction churns continuously instead
@@ -1016,42 +949,11 @@ func runShardOnce(opt options, shards int) (shardRun, error) {
 		span = 1
 	}
 	perWriter := opt.ops / opt.writers
-	hists := make(chan *metrics.LatencyHist, opt.writers)
-	errs := make(chan error, opt.writers)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < opt.writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var h metrics.LatencyHist
-			buf := make([]byte, ps)
-			for i := range buf {
-				buf[i] = byte(w + 1)
-			}
-			base := int64(w) * span
-			for i := 0; i < perWriter; i++ {
-				lpn := (base + int64(i)%span) * ppb
-				t0 := time.Now()
-				if err := writer.Write(lpn, buf); err != nil {
-					errs <- fmt.Errorf("writer %d: %w", w, err)
-					return
-				}
-				h.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-			}
-			hists <- &h
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	close(errs)
-	for err := range errs {
+	elapsed, all, err := writerPool(writer, opt.writers, 1, func(w, i int) (int64, int, bool) {
+		return (int64(w)*span + int64(i)%span) * ppb, 1, i < perWriter
+	})
+	if err != nil {
 		return shardRun{}, err
-	}
-	close(hists)
-	var all metrics.LatencyHist
-	for h := range hists {
-		all.Merge(h)
 	}
 	st := writer.Stats()
 	ops := opt.writers * perWriter
@@ -1191,41 +1093,14 @@ func runStreamScale(opt options) (streamScale, error) {
 			ss.ColdBlocks = heat.ColdBlocks
 			ss.HotWriteShare = heat.HotWriteShare
 		}
-		ps := writer.Device().PageSize()
-		hists := make(chan *metrics.LatencyHist, opt.writers)
-		errs := make(chan error, opt.writers)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < opt.writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var h metrics.LatencyHist
-				buf := make([]byte, streamPPB*ps)
-				for i := range buf {
-					buf[i] = byte(w + 1)
-				}
-				for _, op := range lists[w] {
-					t0 := time.Now()
-					if err := writer.Write(op.lpn, buf[:op.pages*ps]); err != nil {
-						errs <- fmt.Errorf("writer %d: %w", w, err)
-						return
-					}
-					h.Add(float64(time.Since(t0)) / float64(time.Millisecond))
-				}
-				hists <- &h
-			}(w)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		close(errs)
-		for err := range errs {
+		elapsed, all, err := writerPool(writer, opt.writers, streamPPB, func(w, i int) (int64, int, bool) {
+			if i >= len(lists[w]) {
+				return 0, 0, false
+			}
+			return lists[w][i].lpn, lists[w][i].pages, true
+		})
+		if err != nil {
 			return streamRun{}, err
-		}
-		close(hists)
-		var all metrics.LatencyHist
-		for h := range hists {
-			all.Merge(h)
 		}
 		st := writer.Stats()
 		fs := writer.StreamStats()
@@ -1278,6 +1153,60 @@ func runStreamScale(opt options) (streamScale, error) {
 		ss.EraseReduction = 1 - float64(tagged.Erases)/float64(untagged.Erases)
 	}
 	return ss, nil
+}
+
+// writerPool runs a pool of writers against node: writer w issues
+// next(w, 0), next(w, 1), … (each an lpn and a page count) until next
+// reports false, from a private buffer of maxPages pages filled with
+// byte(w+1). It returns the pool's wall-clock seconds and the merged
+// per-write latency in milliseconds, or the first writer's error.
+func writerPool(node *flashcoop.LiveNode, writers, maxPages int, next func(w, i int) (lpn int64, pages int, ok bool)) (float64, metrics.LatencyHist, error) {
+	ps := node.Device().PageSize()
+	hists := make([]metrics.LatencyHist, writers)
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var h metrics.LatencyHist
+			buf := bytes.Repeat([]byte{byte(w + 1)}, maxPages*ps)
+			for i := 0; ; i++ {
+				lpn, pages, ok := next(w, i)
+				if !ok {
+					break
+				}
+				t0 := time.Now()
+				if err := node.Write(lpn, buf[:pages*ps]); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
+				h.Add(float64(time.Since(t0)) / float64(time.Millisecond))
+			}
+			hists[w] = h
+		}(w)
+	}
+	wg.Wait()
+	elapsed := time.Since(start).Seconds()
+	close(errs)
+	var all metrics.LatencyHist
+	if err := <-errs; err != nil {
+		return 0, all, err
+	}
+	for w := range hists {
+		all.Merge(&hists[w])
+	}
+	return elapsed, all, nil
+}
+
+// residentSpan is the op sequence of the cache-resident write workload:
+// writer w rewrites its private span of span pages, pages at a time,
+// perWriter times.
+func residentSpan(pages int, span int64, perWriter int) func(w, i int) (int64, int, bool) {
+	return func(w, i int) (int64, int, bool) {
+		return int64(w)*span + (int64(i)*int64(pages))%span, pages, i < perWriter
+	}
 }
 
 func waitUntil(timeout time.Duration, cond func() bool) error {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"flashcoop/internal/core"
 	"flashcoop/internal/flash"
 	"flashcoop/internal/ftl"
 	"flashcoop/internal/ssd"
@@ -18,7 +20,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{Type: MsgHello, Seq: 1},
 		{Type: MsgWriteFwd, Seq: 42, LPNs: []int64{1, 2, 3}, Data: []byte("abcdef")},
-		{Type: MsgWorkloadInfo, Info: Info{WriteFrac: 0.91, Mem: 0.5, CPU: 0.25, Net: 0.125}},
+		{Type: MsgWorkloadInfo, Info: core.WorkloadInfo{WriteFrac: 0.91, Mem: 0.5, CPU: 0.25, Net: 0.125}},
 		{Type: MsgError, Err: "boom"},
 		{Type: MsgDiscard, LPNs: []int64{}},
 	}
@@ -51,6 +53,30 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWorkloadInfoWireBytes pins the encoded v2 frames of one workload-
+// info exchange: the request as RebalanceOnce sends it and an ack with the
+// four Eq. 1 floats (big-endian f64s in WriteFrac, Mem, CPU, Net order).
+func TestWorkloadInfoWireBytes(t *testing.T) {
+	req := Message{Type: MsgWorkloadInfo, Seq: 7, Origin: "10.0.0.1:7001"}
+	ack := Message{Type: MsgWorkloadInfoAck, Seq: 7}
+	ack.Info.WriteFrac, ack.Info.Mem, ack.Info.CPU, ack.Info.Net = 0.91, 0.5, 0.25, 0.125
+	for _, tc := range []struct {
+		m   *Message
+		hex string
+	}{
+		{&req, "fc0200000000005c6e38bcdb0d0000000000000007000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000d31302e302e302e313a373030310000"},
+		{&ack, "fc0200000000004fdf1f86330e00000000000000070000000000000000000000003fed1eb851eb851f3fe00000000000003fd00000000000003fc00000000000000000000000000000000000000000000000000000000000000000"},
+	} {
+		var b bytes.Buffer
+		if err := WriteFrameV2(&b, tc.m); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b.Bytes()); got != tc.hex {
+			t.Errorf("%v frame:\n got %s\nwant %s", tc.m.Type, got, tc.hex)
+		}
+	}
+}
+
 func TestMessageRoundTripProperty(t *testing.T) {
 	f := func(typ uint8, seq uint64, lpns []int64, data []byte, wf float64, errStr string) bool {
 		if len(errStr) > 1000 {
@@ -58,7 +84,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		}
 		orig := Message{
 			Type: MsgType(typ), Seq: seq, LPNs: lpns, Data: data,
-			Info: Info{WriteFrac: wf}, Err: errStr,
+			Info: core.WorkloadInfo{WriteFrac: wf}, Err: errStr,
 		}
 		body, err := orig.Marshal()
 		if err != nil {

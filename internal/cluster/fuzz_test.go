@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"flashcoop/internal/core"
 	"flashcoop/internal/ssd"
 	"flashcoop/internal/stream"
 )
@@ -41,7 +42,7 @@ func fuzzSeedMessages() []*Message {
 		{Type: MsgWriteFwd, Seq: 42, LPNs: []int64{1, 2, 3}, Stamps: []uint64{9, 10, 11}, Data: []byte("abcdef")},
 		{Type: MsgDiscard, Seq: 5, LPNs: []int64{-1, 0, 1 << 40}, Stamps: []uint64{0, ^uint64(0), 1}},
 		{Type: MsgRCTData, Seq: 9, LPNs: []int64{7}, Stamps: []uint64{3}, Data: bytes.Repeat([]byte{0xAB}, 512)},
-		{Type: MsgWorkloadInfo, Seq: 2, Info: Info{WriteFrac: 0.75, Mem: 0.5, CPU: 0.1, Net: 0.9}},
+		{Type: MsgWorkloadInfo, Seq: 2, Info: core.WorkloadInfo{WriteFrac: 0.75, Mem: 0.5, CPU: 0.1, Net: 0.9}},
 		{Type: MsgError, Seq: 3, Err: "something broke"},
 		{Type: MsgResync, Seq: 11, LPNs: []int64{4, 5}, Stamps: []uint64{8, 2}, Data: bytes.Repeat([]byte{0xCD}, 1024)},
 		// Trailing-extension frames: stream-tagged discards (one per tag,

@@ -341,13 +341,13 @@ type LiveNode struct {
 
 	// Per-origin backup holds, keyed by the sending member's ID, with the
 	// remote-page budget split across them by observed write intensity
-	// (rebalance.go). remoteBudget starts at RemotePages; the Eq. 1
-	// exchange of a node with one partner resizes it.
+	// (rebalance.go). remoteBudget starts at RemotePages; every Eq. 1
+	// round sets it to θ of the pooled memory.
 	remotes      map[string]*remoteHold
 	remoteBudget int
-
-	winReads  atomic.Int64 // workload window for dynamic allocation
-	winWrites atomic.Int64
+	// infoBase holds, per asking member, the cumulative [reads, writes]
+	// at its previous MsgWorkloadInfo query (see writeFracSince).
+	infoBase map[string][2]int64
 
 	// localPressure caches this node's GC-pressure reading as float bits,
 	// refreshed under devMu whenever the device is touched (and on each
@@ -463,6 +463,7 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		pageSize:     dev.PageSize(),
 		ppb:          dev.PagesPerBlock(),
 		remoteBudget: cfg.RemotePages,
+		infoBase:     make(map[string][2]int64),
 		admit:        make(chan struct{}, admissionLimit),
 		writeLat:     metrics.NewStripedLatencyHist(ns),
 		fwdLat:       metrics.NewStripedLatencyHist(ns),
@@ -984,7 +985,6 @@ func (n *LiveNode) Write(lpn int64, data []byte) error {
 		}
 	}
 	atomic.AddInt64(&n.stats.Writes, 1)
-	n.winWrites.Add(1)
 
 	ws := writeScratchPool.Get().(*writeScratch)
 	reuse := true
@@ -1254,7 +1254,6 @@ func (n *LiveNode) ReadInto(lpn int64, pages int, dst []byte) error {
 		return fmt.Errorf("cluster %s: read of %d pages into %d bytes", n.cfg.Name, pages, len(dst))
 	}
 	atomic.AddInt64(&n.stats.Reads, 1)
-	n.winReads.Add(1)
 	// fills and misses start on the stack; a read longer than the arrays
 	// grows them on the heap.
 	var fillBuf, missBuf [16]int64
@@ -1845,7 +1844,8 @@ func (n *LiveNode) handle(m, ack *Message) *Message {
 		return r
 	case MsgWorkloadInfo:
 		r := reply(ack, MsgWorkloadInfoAck)
-		r.Info = n.localInfo()
+		r.Info = n.usage()
+		r.Info.WriteFrac = n.writeFracSince(m.Origin)
 		return r
 	default:
 		return &Message{Type: MsgError, Err: fmt.Sprintf("unhandled message %v", m.Type)}

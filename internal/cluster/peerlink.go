@@ -184,8 +184,8 @@ type remoteHold struct {
 	data  map[int64][]byte
 	stamp map[int64]uint64
 	// winInserts counts backup pages inserted since the last rebalance
-	// round: the per-origin write-intensity window that drives the Eq. 1
-	// style budget split (see RebalanceOnce).
+	// round: the origin's weight in the round's Eq. 1 mean and in the
+	// budget split (see RebalanceOnce).
 	winInserts int64
 }
 

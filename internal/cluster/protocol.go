@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 
+	"flashcoop/internal/core"
 	"flashcoop/internal/stream"
 )
 
@@ -68,14 +69,6 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
-// Info mirrors core.WorkloadInfo on the wire.
-type Info struct {
-	WriteFrac float64
-	Mem       float64
-	CPU       float64
-	Net       float64
-}
-
 // Message is one protocol frame. Stamps, when present, runs parallel to
 // LPNs and carries each page's write stamp — a node-local monotonic
 // version that survives restarts — so the receiver can order a frame's
@@ -87,8 +80,10 @@ type Message struct {
 	LPNs   []int64
 	Stamps []uint64
 	Data   []byte
-	Info   Info
-	Err    string
+	// Info is the dynamic-allocation snapshot a MsgWorkloadInfoAck
+	// carries (four f64s on the wire, in field order).
+	Info core.WorkloadInfo
+	Err  string
 	// Streams, when present, runs parallel to LPNs and carries each
 	// page's temperature tag so the receiver's FTL can keep the pair's
 	// stream segregation intact across the backup path. Unknown tag
@@ -214,7 +209,7 @@ func (m *Message) Unmarshal(buf []byte) error {
 		}
 		fs[i] = math.Float64frombits(v)
 	}
-	m.Info = Info{WriteFrac: fs[0], Mem: fs[1], CPU: fs[2], Net: fs[3]}
+	m.Info = core.WorkloadInfo{WriteFrac: fs[0], Mem: fs[1], CPU: fs[2], Net: fs[3]}
 	ne, err := r.u16()
 	if err != nil {
 		return err

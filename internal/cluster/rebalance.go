@@ -8,79 +8,75 @@ import (
 	"flashcoop/internal/core"
 )
 
-// localInfo measures this node's workload window and resource usage for
-// the dynamic-allocation exchange. It takes no node mutex — the window
-// counters are atomics and the sharded buffer aggregates under its own
-// shard locks — so the partner's MsgWorkloadInfo handler can call it
-// without ordering against n.mu (which must never wait on shard locks).
-func (n *LiveNode) localInfo() Info {
-	info := Info{}
-	r := n.winReads.Swap(0)
-	w := n.winWrites.Swap(0)
-	if total := r + w; total > 0 {
-		info.WriteFrac = float64(w) / float64(total)
-	}
+// usage measures this node's resource usage for Equation 1: memory is
+// buffer occupancy, CPU the device's utilization. It takes no node mutex —
+// the sharded buffer aggregates under its own shard locks, which n.mu must
+// never wait on.
+func (n *LiveNode) usage() core.WorkloadInfo {
+	var u core.WorkloadInfo
 	if c := n.buf.Capacity(); c > 0 {
-		info.Mem = float64(n.buf.Len()) / float64(c)
+		u.Mem = float64(n.buf.Len()) / float64(c)
 	}
 	n.devMu.Lock()
-	info.CPU = n.dev.Utilization(n.vnow())
+	u.CPU = n.dev.Utilization(n.vnow())
 	n.devMu.Unlock()
-	return info
+	return u
 }
 
-// RebalanceOnce runs one dynamic-allocation round.
-//
-// With exactly one partner link (the paper's pair): exchange workload
-// information with the partner, evaluate Equation 1, and resize the local
-// buffer / remote-page budget partition over the pooled memory; returns
-// the effective θ. With more links the local/remote split stays fixed —
-// an N-way θ negotiation would need global agreement — and 0 is returned.
-//
-// Either way the remote-page budget is then split ACROSS the per-origin
-// holds proportional to each origin's observed write intensity (backup
-// pages inserted since the last round), with a floor so an idle partner
-// keeps a warm minimum: the Equation 1 idea applied where this node has
-// sole authority.
+// writeFracSince reports the write fraction of this node's ops since
+// asker's previous query and moves asker's baseline to now: each asker
+// has its own window over the cumulative counters, so no round drains
+// the window another partner reads.
+func (n *LiveNode) writeFracSince(asker string) float64 {
+	now := [2]int64{atomic.LoadInt64(&n.stats.Reads), atomic.LoadInt64(&n.stats.Writes)}
+	n.mu.Lock()
+	base := n.infoBase[asker]
+	n.infoBase[asker] = now
+	n.mu.Unlock()
+	if ops := now[0] + now[1] - base[0] - base[1]; ops > 0 {
+		return float64(now[1]-base[1]) / float64(ops)
+	}
+	return 0
+}
+
+// RebalanceOnce runs one dynamic-allocation round and returns θ. Every
+// partner link answers the write fraction of its ops since this node last
+// asked; the answers are averaged, each weighted by the backup pages its
+// origin inserted here this round (evenly if none did), and Equation 1
+// evaluates this node's memory and CPU usage against that mean. θ of the
+// pooled memory becomes the remote-page budget, the rest the local
+// buffer, and the budget is split across the per-origin holds by the same
+// insert counts. A pair is the one-link case (weight 1). The round fails
+// if any link fails to answer.
 func (n *LiveNode) RebalanceOnce() (float64, error) {
 	links := n.linksSnapshot()
 	if len(links) == 0 {
 		return 0, errNoPeer
 	}
-	var theta float64
-	if len(links) == 1 {
-		var err error
-		if theta, err = n.exchangeTheta(links[0]); err != nil {
-			return 0, err
+	// Read the weights before rebalanceHolds zeroes them.
+	weights := make([]float64, len(links))
+	var sum float64
+	n.mu.Lock()
+	for i, l := range links {
+		if h := n.remotes[l.id]; h != nil {
+			weights[i] = float64(h.winInserts)
+			sum += weights[i]
 		}
 	}
-	n.rebalanceHolds()
-	atomic.AddInt64(&n.stats.Rebalances, 1)
-	return theta, nil
-}
-
-// exchangeTheta swaps workload information with the single partner,
-// evaluates Equation 1, and repartitions the pooled memory: θ of it
-// becomes the remote-page budget, the rest the local buffer.
-func (n *LiveNode) exchangeTheta(l *peerLink) (float64, error) {
-	local := n.localInfo()
-	resp, err := l.client.call(&Message{Type: MsgWorkloadInfo, Info: local})
-	if err != nil {
-		return 0, err
+	n.mu.Unlock()
+	var peer core.WorkloadInfo
+	for i, l := range links {
+		resp, err := l.client.call(&Message{Type: MsgWorkloadInfo, Origin: n.selfID})
+		if err != nil {
+			return 0, err
+		}
+		w := 1 / float64(len(links))
+		if sum > 0 {
+			w = weights[i] / sum
+		}
+		peer.WriteFrac += w * resp.Info.WriteFrac
 	}
-	peerInfo := core.WorkloadInfo{
-		WriteFrac: resp.Info.WriteFrac,
-		Mem:       resp.Info.Mem,
-		CPU:       resp.Info.CPU,
-		Net:       resp.Info.Net,
-	}
-	localInfo := core.WorkloadInfo{
-		WriteFrac: local.WriteFrac,
-		Mem:       local.Mem,
-		CPU:       local.CPU,
-		Net:       local.Net,
-	}
-	theta := core.Theta(core.DefaultAllocParams(), localInfo, peerInfo)
+	theta := core.Theta(core.DefaultAllocParams(), n.usage(), peer)
 
 	total := n.cfg.BufferPages + n.cfg.RemotePages
 	remotePages := int(theta * float64(total))
@@ -101,6 +97,8 @@ func (n *LiveNode) exchangeTheta(l *peerLink) (float64, error) {
 		n.buf.UnlockShard(si)
 		n.enqueueFlush(si, jobs)
 	}
+	n.rebalanceHolds()
+	atomic.AddInt64(&n.stats.Rebalances, 1)
 	return theta, nil
 }
 

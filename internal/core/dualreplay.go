@@ -72,11 +72,15 @@ func DualReplay(local, remote *Node, localReqs, remoteReqs []trace.Request, opts
 
 		step++
 		if opts.RebalanceEvery > 0 && step%opts.RebalanceEvery == 0 {
-			lt, err := local.Rebalance(lastArrival, local.LocalInfo(lastArrival), remote.LocalInfo(lastArrival))
+			// LocalInfo resets the node's workload window, so each side
+			// is read once per round and the same snapshot feeds both
+			// nodes' Equation 1.
+			li, ri := local.LocalInfo(lastArrival), remote.LocalInfo(lastArrival)
+			lt, err := local.Rebalance(lastArrival, li, ri)
 			if err != nil {
 				return ds, err
 			}
-			rt, err := remote.Rebalance(lastArrival, remote.LocalInfo(lastArrival), local.LocalInfo(lastArrival))
+			rt, err := remote.Rebalance(lastArrival, ri, li)
 			if err != nil {
 				return ds, err
 			}

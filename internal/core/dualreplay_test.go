@@ -58,6 +58,13 @@ func TestDualReplayBothSidesServe(t *testing.T) {
 		t.Errorf("theta asymmetry wrong: local %.3f <= remote %.3f",
 			ds.LocalThetas[last], ds.RemoteThetas[last])
 	}
+	// Each round reads both workload windows before either node resets
+	// them, so the remote node sees the local node's writes: by the first
+	// round both nodes have served requests, and the remote θ (the share
+	// it lends to the local node's backups) must not collapse to zero.
+	if ds.RemoteThetas[0] == 0 {
+		t.Fatalf("remote thetas %v: first round 0 against a partner that writes", ds.RemoteThetas)
+	}
 	if err := a.Device().FTL().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -76,10 +76,11 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s -fuzzminimizetime 20x ./inte
 
 # Smoke-test the live write path end to end: a small loadgen run over a
 # localhost pair exercises the pipelined forwarder, batching, and the
-# latency histograms without taking benchmark-length time; the ring rung
+# latency histograms without taking benchmark-length time (both legs: the
+# pipelined run and the synchronous batch=1/inflight=1 one); the ring rung
 # does the same for consistent-hash partner selection and the split
 # forwarder set (too few ops to be a measurement — the gate below is).
-go run ./cmd/loadgen -writers 4 -ops 2000 -compare=false
+go run ./cmd/loadgen -writers 4 -ops 2000
 go run ./cmd/loadgen -ring-scale 2,3 -writers 4 -ops 2000 -reps 1
 
 # Sharded hot-path smoke: a few iterations of the parallel write/read
