@@ -57,6 +57,7 @@ chaos-disk:
 # whole budget minimizing their first interesting inputs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameV2$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrameReuse$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMessage$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResync$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMembership$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cluster/

@@ -236,7 +236,7 @@ func TestAllocsFileStoreVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	if err := s.put(1, page(0x5C, 4096), 1); err != nil {
+	if err := storePut(s, 1, page(0x5C, 4096), 1); err != nil {
 		t.Fatal(err)
 	}
 	verify := func() {

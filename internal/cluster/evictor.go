@@ -263,7 +263,7 @@ func (n *LiveNode) persistJobs(si int, jobs []flushJob) persistedBatch {
 		}
 	}
 	n.buf.UnlockShard(si)
-	done, err := n.persistSet(items, false, true)
+	done, _, err := n.persistSet(items, false, true)
 	sh.persistMu.Unlock()
 	return persistedBatch{jobs: jobs, items: items, done: done, err: err}
 }
@@ -370,14 +370,21 @@ func (n *LiveNode) finishBatch(si int, b persistedBatch, ferr error) {
 // persistSet makes a set of pages durable: one device write per
 // contiguous run (the batched sequential flush LAR's block eviction is
 // designed for), a stamp-guarded batched store put per run, and a single
-// durable-after sync for the whole set. The caller holds the persistMu of
-// the shard every item belongs to, which is what makes the guard-then-put
-// atomic.
+// durable-after sync for the whole set. It is the one path by which a
+// page becomes durable on this node — evictions, FlushAll, degraded
+// write-through, and (through applyPeerPages) RCT recovery and scrub
+// repair. The caller holds the persistMu of the shard every item belongs
+// to, which is what makes the guard-then-put atomic.
 //
-// The stamp guard skips pages whose durable copy is already at an equal
-// or newer version — that makes double persists idempotent and stops a
-// lagging eviction from rolling back a page that degraded write-through
-// (or a later eviction) persisted first. Skipped pages count as done.
+// The stamp guard skips a page whose durable copy is already at an equal
+// or newer version AND verifies — that makes double persists idempotent
+// and stops a lagging eviction (or a stale peer backup) from rolling back
+// a page that a later persist made durable first. A local record that
+// fails verification never wins on its stamp: it is rewritten, so a
+// corrupt copy cannot suppress the only intact version of the page. The
+// verify re-read runs only on the skip branch, which the write paths
+// rarely reach. Skipped pages count as done: done[:skipped] are the
+// skipped items, the rest of done were written.
 //
 // The sync boundary goes through syncSection: with the group-commit
 // coordinator running, this batch's fsync coalesces with every other
@@ -388,41 +395,36 @@ func (n *LiveNode) finishBatch(si int, b persistedBatch, ferr error) {
 // evictor's sync stage can wait for the fsync outside persistMu.
 //
 // The victim tier's bookkeeping is centralized here because this is the
-// one choke point every durable page mutation on the eviction/flush path
-// goes through (the caller holds persistMu). With admit true (the evictor
-// path, where items carry a real reuse signal) each item to be written is
-// OFFERED to the tier — admitted pages enter the victim log in addition
-// to their home write, bypassed ones only invalidate any stale cached
-// version. With admit false (FlushAll, degraded write-through — shutdown
-// and latency paths whose pages carry no eviction heat) every item just
-// invalidates. The victim op runs BEFORE the home write: inserting early
-// is safe (the payload is acked data; only staleness is a hazard), and it
-// closes the window where a reader could probe the tier between the store
-// put and a late invalidate and see the superseded version. Stamp-skipped
-// items invalidate too — the durable copy is at least as new as the skip
+// one choke point every durable page mutation except trim goes through
+// (the caller holds persistMu). With admit true (the evictor path, where
+// items carry a real reuse signal) each item to be written is OFFERED to
+// the tier — admitted pages enter the victim log in addition to their
+// home write, bypassed ones only invalidate any stale cached version.
+// With admit false (FlushAll, degraded write-through, peer applies —
+// paths whose pages carry no eviction heat) every item just invalidates.
+// The victim op runs BEFORE the home write: inserting early is safe (the
+// payload is acked data; only staleness is a hazard), and it closes the
+// window where a reader could probe the tier between the store put and a
+// late invalidate and see the superseded version. Stamp-skipped items
+// invalidate too — the durable copy is at least as new as the skip
 // stamp, so any strictly-older cached entry is stale.
 //
 // Returns the items now known durable (with syncAfter) or persisted
 // pending sync (without); on error the remainder was not persisted and
-// stays the caller's responsibility.
-func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []flushPage, err error) {
+// stays the caller's responsibility. With syncAfter, a failed sync
+// returns no items at all.
+func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []flushPage, skipped int, err error) {
 	if len(items) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	// All items live in one shard, so only that shard's store section
 	// needs syncing; a full-store flush here would serialize every
 	// evictor's fsync stream on every other's.
 	anchor := items[0].lpn
-	flush := func() error {
-		if !syncAfter {
-			return nil
-		}
-		return n.syncSection(anchor, len(items))
-	}
 	sort.Slice(items, func(i, j int) bool { return items[i].lpn < items[j].lpn })
 	toWrite := items[:0:0]
 	for _, it := range items {
-		if cur, ok := n.store.getStamp(it.lpn); ok && cur >= it.stamp {
+		if cur, ok := n.store.getStamp(it.lpn); ok && cur >= it.stamp && n.store.verify(it.lpn) {
 			if n.victim != nil {
 				n.victim.InvalidateOlder(it.lpn, it.stamp)
 			}
@@ -431,6 +433,7 @@ func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []
 		}
 		toWrite = append(toWrite, it)
 	}
+	skipped = len(done)
 	if n.victim != nil {
 		for _, it := range toWrite {
 			if admit {
@@ -445,14 +448,6 @@ func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []
 			}
 		}
 	}
-	// The put slices run parallel to toWrite; each device run below
-	// stores its sub-slice in one putRun.
-	lpns := make([]int64, len(toWrite))
-	data := make([][]byte, len(toWrite))
-	stamps := make([]uint64, len(toWrite))
-	for k, it := range toWrite {
-		lpns[k], data[k], stamps[k] = it.lpn, it.data, it.stamp
-	}
 	for i := 0; i < len(toWrite); {
 		// A device run breaks on a stream boundary as well as an LPN gap:
 		// one tagged write lands whole in its stream's active block, so a
@@ -466,16 +461,15 @@ func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []
 		n.refreshGCPressureLocked()
 		n.devMu.Unlock()
 		if derr != nil {
-			flush()
-			return done, fmt.Errorf("cluster %s: persist lpn %d: %w", n.cfg.Name, toWrite[i].lpn, derr)
+			err = fmt.Errorf("cluster %s: persist lpn %d: %w", n.cfg.Name, toWrite[i].lpn, derr)
+			break
 		}
 		// Paced flushes slow the evictor, fill the buffer/evict queue, and
 		// land on writers as admission backpressure — the closed loop that
 		// keeps the device model's backlog bounded.
 		n.paceDevice(wdone)
-		if perr := n.store.putRun(lpns[i:j], data[i:j], stamps[i:j]); perr != nil {
-			flush()
-			return done, perr
+		if err = n.store.put(toWrite[i:j]); err != nil {
+			break
 		}
 		atomic.AddInt64(&n.stats.Persists, int64(j-i))
 		done = append(done, toWrite[i:j]...)
@@ -486,14 +480,94 @@ func (n *LiveNode) persistSet(items []flushPage, syncAfter, admit bool) (done []
 			// the put itself cannot strand stale data. Items this persist
 			// admitted carry this same stamp and survive (the invalidate is
 			// strictly-older-only).
-			for k := i; k < j; k++ {
-				n.victim.InvalidateOlder(toWrite[k].lpn, toWrite[k].stamp)
+			for _, it := range toWrite[i:j] {
+				n.victim.InvalidateOlder(it.lpn, it.stamp)
 			}
 		}
 		i = j
 	}
-	if ferr := flush(); ferr != nil {
-		return done, ferr
+	if syncAfter {
+		if ferr := n.syncSection(anchor, len(items)); ferr != nil {
+			// A failed sync proves nothing durable, not even the skipped
+			// pages whose earlier puts it may have been covering: the
+			// caller keeps every item resident.
+			return nil, 0, ferr
+		}
 	}
-	return done, nil
+	return done, skipped, err
+}
+
+// persistResident makes what RAM pins for shard si durable: the dirty
+// pages first, then — only if they all persisted — the pinned in-flight
+// ones. Persisted dirty pages leave the dirty map, are marked clean and
+// have their buffers recycled; persisted pinned pages leave the inflight
+// map, but their buffers stay with the queued jobs that own them (which
+// recycle them on the stamp mismatch). The caller holds the shard's
+// persistMu and its lock.
+func (n *LiveNode) persistResident(si int, dirty, pinned []flushPage) error {
+	sh := &n.shards[si]
+	c := n.buf.ShardCache(si)
+	done, _, err := n.persistSet(dirty, true, false)
+	for _, fp := range done {
+		delete(sh.dirtyData, fp.lpn)
+		delete(sh.dirtyStamp, fp.lpn)
+		n.putPage(fp.data)
+		c.MarkClean(fp.lpn)
+	}
+	if err != nil {
+		return err
+	}
+	done, _, err = n.persistSet(pinned, true, false)
+	for _, fp := range done {
+		delete(sh.inflight, fp.lpn)
+	}
+	return err
+}
+
+// applyPeerPages makes ring holders' copies of this node's pages durable
+// — RCT recovery and scrub repair both land here — through persistSet,
+// one shard at a time under that shard's persistMu. Peer copies carry no
+// eviction heat, so they bypass victim admission. Every page that settles
+// (written, or skipped because an intact local record is at least as new)
+// leaves the repair queue, and a written page that was queued counts as
+// repaired. The stamp counter is raised past every peer version, applied
+// or not, so new writes order after them on every shard. Every shard is
+// tried; the first error is returned along with how many pages the stamp
+// guard skipped.
+func (n *LiveNode) applyPeerPages(items []flushPage) (skipped int, err error) {
+	groups := make([][]flushPage, len(n.shards))
+	for _, it := range items {
+		si := n.buf.ShardIndex(it.lpn)
+		groups[si] = append(groups[si], it)
+	}
+	for si, g := range groups {
+		if len(g) == 0 {
+			continue
+		}
+		var top uint64
+		for _, it := range g {
+			top = max(top, it.stamp)
+		}
+		sh := &n.shards[si]
+		sh.persistMu.Lock()
+		done, sk, perr := n.persistSet(g, true, false)
+		for k, fp := range done {
+			if n.clearRepair(fp.lpn) && k >= sk {
+				atomic.AddInt64(&n.stats.RepairedPages, 1)
+			}
+		}
+		n.raiseStamp(top)
+		sh.persistMu.Unlock()
+		skipped += sk
+		if perr != nil && err == nil {
+			err = perr
+		}
+	}
+	return skipped, err
+}
+
+// raiseStamp lifts the stamp counter to at least st.
+func (n *LiveNode) raiseStamp(st uint64) {
+	for cur := n.stampCtr.Load(); st > cur && !n.stampCtr.CompareAndSwap(cur, st); cur = n.stampCtr.Load() {
+	}
 }

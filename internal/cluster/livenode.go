@@ -593,18 +593,6 @@ func (n *LiveNode) localGCPressure() float64 {
 	return math.Float64frombits(n.localPressure.Load())
 }
 
-// PeerGCPressure reports the highest GC pressure any partner last
-// gossiped, in [0,1] (0 until the first heartbeat exchange).
-func (n *LiveNode) PeerGCPressure() float64 {
-	var max float64
-	for _, l := range n.linksSnapshot() {
-		if p := math.Float64frombits(l.pressure.Load()); p > max {
-			max = p
-		}
-	}
-	return max
-}
-
 // GCPressure reports the node's own current GC pressure in [0,1],
 // refreshing the cached reading from the FTL.
 func (n *LiveNode) GCPressure() float64 {
@@ -1144,32 +1132,16 @@ func (n *LiveNode) writeThroughRun(run buffer.ShardRun, base int64, stamps []uin
 	defer sh.persistMu.Unlock()
 	n.buf.LockShard(run.Shard)
 	defer n.buf.UnlockShard(run.Shard)
-	c := n.buf.ShardCache(run.Shard)
 
-	var dirtyItems, pinnedItems []flushPage
+	var dirty, pinned []flushPage
 	for p := run.LPN; p < run.LPN+int64(run.Pages); p++ {
 		if d := sh.dirtyData[p]; d != nil {
-			dirtyItems = append(dirtyItems, flushPage{lpn: p, data: d, stamp: sh.dirtyStamp[p]})
+			dirty = append(dirty, flushPage{lpn: p, data: d, stamp: sh.dirtyStamp[p]})
 		} else if fp, ok := sh.inflight[p]; ok {
-			pinnedItems = append(pinnedItems, fp)
+			pinned = append(pinned, fp)
 		}
 	}
-	done, err := n.persistSet(dirtyItems, true, false)
-	for _, fp := range done {
-		delete(sh.dirtyData, fp.lpn)
-		delete(sh.dirtyStamp, fp.lpn)
-		n.putPage(fp.data)
-		c.MarkClean(fp.lpn)
-	}
-	if err == nil {
-		// Persist pinned pages too, but leave their buffers to the queued
-		// job that owns them (it recycles them on the stamp mismatch).
-		var donePinned []flushPage
-		donePinned, err = n.persistSet(pinnedItems, true, false)
-		for _, fp := range donePinned {
-			delete(sh.inflight, fp.lpn)
-		}
-	}
+	err := n.persistResident(run.Shard, dirty, pinned)
 	// Journal every targeted page of the run under n.mu so no insert can
 	// race a resync stream's empty-check+flip critical section. Pages
 	// persisted by a concurrent eviction moments ago still need the
@@ -1363,12 +1335,14 @@ func (n *LiveNode) chargeRead(lpn int64, pages int) error {
 // victim.OfferFill), then re-validates the admission against the store.
 // The fill runs with no lock ordering against persists, so a writer can
 // slip a newer durable version in while we hold the older payload; the
-// handshake that makes this safe is two-sided. Every persist path runs a
-// victim invalidate/offer both BEFORE and AFTER its store mutation, and
-// the fill admits BEFORE re-reading the store stamp. So either the racing
-// persist's store mutation precedes our recheck — the changed stamp makes
-// us drop our own admission — or it follows it, and then the persist's
-// post-mutation invalidate runs after our admit and kills the stale entry.
+// handshake that makes this safe is two-sided. persistSet — the one path
+// by which a page becomes durable — runs a victim invalidate/offer both
+// BEFORE and AFTER its store put (trim drops the entry around its
+// remove), and the fill admits BEFORE re-reading the store stamp. So
+// either the racing persist's store mutation precedes our recheck — the
+// changed stamp makes us drop our own admission — or it follows it, and
+// then the persist's post-mutation invalidate runs after our admit and
+// kills the stale entry.
 func (n *LiveNode) offerFill(lpn int64, data []byte) {
 	stamp, ok := n.store.getStamp(lpn)
 	if !ok {
@@ -1394,29 +1368,15 @@ func (n *LiveNode) FlushAll() error {
 		sh.persistMu.Lock()
 		n.buf.LockShard(si)
 		n.buf.ShardCache(si).FlushAll()
-		items := make([]flushPage, 0, len(sh.dirtyData))
+		dirty := make([]flushPage, 0, len(sh.dirtyData))
 		for p, d := range sh.dirtyData {
-			items = append(items, flushPage{lpn: p, data: d, stamp: sh.dirtyStamp[p]})
+			dirty = append(dirty, flushPage{lpn: p, data: d, stamp: sh.dirtyStamp[p]})
 		}
-		done, err := n.persistSet(items, true, false)
-		for _, fp := range done {
-			delete(sh.dirtyData, fp.lpn)
-			delete(sh.dirtyStamp, fp.lpn)
-			n.putPage(fp.data)
+		pinned := make([]flushPage, 0, len(sh.inflight))
+		for _, fp := range sh.inflight {
+			pinned = append(pinned, fp)
 		}
-		if err == nil {
-			// In-flight evictions become durable here too; their buffers
-			// stay with the queued jobs, which recycle them on the miss.
-			pinned := make([]flushPage, 0, len(sh.inflight))
-			for _, fp := range sh.inflight {
-				pinned = append(pinned, fp)
-			}
-			var donePinned []flushPage
-			donePinned, err = n.persistSet(pinned, true, false)
-			for _, fp := range donePinned {
-				delete(sh.inflight, fp.lpn)
-			}
-		}
+		err := n.persistResident(si, dirty, pinned)
 		n.buf.UnlockShard(si)
 		sh.persistMu.Unlock()
 		if err != nil {
@@ -1430,13 +1390,14 @@ func (n *LiveNode) FlushAll() error {
 // restart: fetch the partner's RCT contents, persist them, and tell the
 // partner to clean its remote buffer. Call it before serving writes.
 //
-// Backups are applied under a write-stamp guard: a page whose local
-// durable copy carries an equal or newer stamp is skipped (counted in
-// StaleRecoverySkips). Without the guard, a partner that was wrongly
-// declared dead — an asymmetric partition, or heartbeat timeouts under
-// load — keeps serving old backups for pages this node has since written
-// through degraded mode, and a blind recovery would roll acknowledged
-// writes back to those stale versions.
+// Backups are applied through applyPeerPages, under persistSet's
+// write-stamp guard: a page whose intact local durable copy carries an
+// equal or newer stamp is skipped (counted in StaleRecoverySkips). Without
+// the guard, a partner that was wrongly declared dead — an asymmetric
+// partition, or heartbeat timeouts under load — keeps serving old backups
+// for pages this node has since written through degraded mode, and a
+// blind recovery would roll acknowledged writes back to those stale
+// versions.
 func (n *LiveNode) RecoverFromPeer() error {
 	links := n.linksSnapshot()
 	if len(links) == 0 {
@@ -1474,61 +1435,19 @@ func (n *LiveNode) recoverFromLink(l *peerLink) error {
 	if len(resp.Stamps) != len(resp.LPNs) {
 		return fmt.Errorf("%w: RCT stamp count mismatch", ErrBadFrame)
 	}
+	// Honor temperature tags if the partner's RCT carried them (per-LPN,
+	// parallel to LPNs); absent tags write default-stream.
+	tagged := len(resp.Streams) == len(resp.LPNs)
+	items := make([]flushPage, len(resp.LPNs))
 	for i, lpn := range resp.LPNs {
-		st := resp.Stamps[i]
-		sh := &n.shards[n.buf.ShardIndex(lpn)]
-		sh.persistMu.Lock()
-		// The stale-skip additionally demands the local record verify: a
-		// corrupt local copy with a winning stamp must NOT suppress the
-		// only intact version of the page the ring still holds.
-		if local, ok := n.store.getStamp(lpn); ok && local >= st && n.store.verify(lpn) {
-			atomic.AddInt64(&n.stats.StaleRecoverySkips, 1)
-			sh.persistMu.Unlock()
-			continue
-		}
-		// Honor temperature tags if the partner's RCT carried them
-		// (per-LPN, parallel to LPNs); absent tags write default-stream.
-		strm := stream.Warm
-		if len(resp.Streams) == len(resp.LPNs) {
-			strm = resp.Streams[i]
-		}
-		n.devMu.Lock()
-		_, derr := n.dev.WriteTagged(n.vnow(), lpn, 1, strm)
-		n.devMu.Unlock()
-		if derr != nil {
-			sh.persistMu.Unlock()
-			return derr
-		}
-		if n.victim != nil {
-			// Recovery applies bypass admission (no eviction heat), but any
-			// older cached entry must die before the backup becomes durable.
-			n.victim.InvalidateOlder(lpn, st)
-		}
-		if perr := n.store.put(lpn, resp.Data[i*ps:(i+1)*ps], st); perr != nil {
-			sh.persistMu.Unlock()
-			return perr
-		}
-		if n.victim != nil {
-			// Post-put half of the fill-admission handshake (see offerFill).
-			n.victim.InvalidateOlder(lpn, st)
-		}
-		atomic.AddInt64(&n.stats.Persists, 1)
-		// A recovered page that was queued for repair (corrupt at load or
-		// detected since) just got healed by this apply.
-		if n.clearRepair(lpn) {
-			atomic.AddInt64(&n.stats.RepairedPages, 1)
-		}
-		sh.persistMu.Unlock()
-		// Resume the global stamp past every recovered version so new
-		// writes order after them on every shard.
-		for {
-			cur := n.stampCtr.Load()
-			if st <= cur || n.stampCtr.CompareAndSwap(cur, st) {
-				break
-			}
+		items[i] = flushPage{lpn: lpn, data: resp.Data[i*ps : (i+1)*ps], stamp: resp.Stamps[i], strm: stream.Warm}
+		if tagged {
+			items[i].strm = resp.Streams[i]
 		}
 	}
-	if err := n.store.flush(); err != nil {
+	skipped, err := n.applyPeerPages(items)
+	atomic.AddInt64(&n.stats.StaleRecoverySkips, int64(skipped))
+	if err != nil {
 		return err
 	}
 	_, err = l.client.callT(&Message{Type: MsgCleanRemote, Origin: n.selfID}, n.bulkTimeout())

@@ -141,6 +141,7 @@ func (n *LiveNode) SetMembers(epoch uint64, members []string) error {
 		} else {
 			l.removed = true
 			removed = append(removed, l)
+			delete(n.infoBase, l.id)
 		}
 	}
 	for id := range desired {

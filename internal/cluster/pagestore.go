@@ -31,11 +31,13 @@ var ErrSyncPoisoned = errors.New("cluster: store section poisoned by failed fsyn
 // data. A node's store is a shardedStore of sections, one per buffer
 // shard.
 //
-// Implementations are safe for concurrent use: reads, repair, and
-// recovery reach a section beside its shard's evictor, so sections
-// synchronize internally instead of leaning on a caller's lock. getInto
-// writes into a buffer the caller owns and never hands out the store's own
-// memory — mutating a read result can never corrupt the store.
+// Every put comes from persistSet under the shard's persistMu, and trim's
+// remove runs under it too. Implementations are still safe for concurrent
+// use: reads, stamp lookups, verifies, scrubs and syncs reach a section
+// beside those writes, so sections synchronize internally instead of
+// leaning on a caller's lock. getInto writes into a buffer the caller owns
+// and never hands out the store's own memory — mutating a read result can
+// never corrupt the store.
 type section interface {
 	// getInto copies the stored payload for lpn into dst (one page) and
 	// reports true. It reports false, leaving dst untouched, when lpn is
@@ -44,12 +46,11 @@ type section interface {
 	getInto(lpn int64, dst []byte) bool
 	// getStamp returns the stored write stamp for lpn.
 	getStamp(lpn int64) (uint64, bool)
-	// put stores the payload (exactly one page) with its write stamp.
-	put(lpn int64, data []byte, stamp uint64) error
-	// putRun stores a run of consecutive-LPN pages (parallel slices) with
-	// the same semantics as put page by page; file sections coalesce
-	// records that land in adjacent slots into single pwrites.
-	putRun(lpns []int64, data [][]byte, stamps []uint64) error
+	// put stores each page's payload (exactly one page) with its write
+	// stamp. persistSet is its one caller on the node, handing it one
+	// device run at a time; file sections coalesce records that land in
+	// adjacent slots into single pwrites.
+	put(pages []flushPage) error
 	// remove deletes the page (TRIM).
 	remove(lpn int64) error
 	// pages reports how many pages are stored.
@@ -58,14 +59,14 @@ type section interface {
 	// node resumes its stamp counter from here.
 	maxStamp() uint64
 	// flush makes every preceding put durable (fsync in sync mode). puts
-	// are batched between flushes so an evictor draining a whole flush
-	// unit pays one sync, not one per page.
+	// are batched between flushes so a persist set pays one sync, not one
+	// per page.
 	flush() error
 	close() error
 	// verify re-reads and checksums lpn's record without mutating any
 	// counters, reporting whether the local durable copy is intact.
-	// Recovery and repair use it to decide whether a stamp comparison
-	// against a peer copy can be trusted.
+	// persistSet's stamp guard uses it to decide whether a stamp
+	// comparison against the local copy can be trusted.
 	verify(lpn int64) bool
 	// takeCorrupt drains the LPNs of records that failed verification at
 	// load time (their lpn self-description was still parseable) —
@@ -111,14 +112,14 @@ func (s *memStore) getStamp(lpn int64) (uint64, bool) {
 	return p.stamp, ok
 }
 
-func (s *memStore) put(lpn int64, data []byte, stamp uint64) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
+func (s *memStore) put(pages []flushPage) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[lpn] = memPage{data: cp, stamp: stamp}
-	if stamp > s.max {
-		s.max = stamp
+	for _, fp := range pages {
+		s.m[fp.lpn] = memPage{data: append([]byte(nil), fp.data...), stamp: fp.stamp}
+		if fp.stamp > s.max {
+			s.max = fp.stamp
+		}
 	}
 	return nil
 }
@@ -140,15 +141,6 @@ func (s *memStore) maxStamp() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.max
-}
-
-func (s *memStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
-	for i, lpn := range lpns {
-		if err := s.put(lpn, data[i], stamps[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (s *memStore) flush() error { return nil }
@@ -653,62 +645,31 @@ func (s *fileStore) getStamp(lpn int64) (uint64, bool) {
 	return fs.stamp, ok
 }
 
-func (s *fileStore) put(lpn int64, data []byte, stamp uint64) error {
-	if s.poisonFlag.Load() {
-		return s.poisonErr()
-	}
-	if len(data) != s.pageSize {
-		return fmt.Errorf("cluster: pagestore put of %d bytes, want %d", len(data), s.pageSize)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var slot int64
-	if fs, ok := s.index[lpn]; ok {
-		slot = fs.slot
-	} else if n := len(s.free); n > 0 {
-		slot = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		slot = s.slots
-		s.slots++
-	}
-	rec := make([]byte, s.recordSize())
-	encodeSlot(rec, lpn, stamp, data)
-	if _, err := s.f.WriteAt(rec, s.slotOff(slot)); err != nil {
-		return fmt.Errorf("cluster: pagestore write: %w", err)
-	}
-	s.index[lpn] = fileSlot{slot: slot, stamp: stamp}
-	if stamp > s.max {
-		s.max = stamp
-	}
-	s.puts++
-	return nil
-}
-
-// runBufPool recycles the combined-record buffers putRun assembles, so a
+// runBufPool recycles the combined-record buffers put assembles, so a
 // steady eviction stream doesn't allocate one per persist batch.
 var runBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
-// putRun stores a run of consecutive-LPN pages. Records whose slots come
+// put stores pages in their slots: a page already stored keeps its
+// slot, a new one takes a freed slot or appends. Records whose slots come
 // out adjacent — the common case: a block's pages were first written
 // together, so they were appended together — are combined into one
 // WriteAt, halving (ppb=2) or better the pwrite syscalls per persist
-// batch versus per-page put.
-func (s *fileStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
+// batch versus one WriteAt per page.
+func (s *fileStore) put(pages []flushPage) error {
 	if s.poisonFlag.Load() {
 		return s.poisonErr()
 	}
-	for _, d := range data {
-		if len(d) != s.pageSize {
-			return fmt.Errorf("cluster: pagestore put of %d bytes, want %d", len(d), s.pageSize)
+	for _, fp := range pages {
+		if len(fp.data) != s.pageSize {
+			return fmt.Errorf("cluster: pagestore put of %d bytes, want %d", len(fp.data), s.pageSize)
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rs := s.recordSize()
-	slots := make([]int64, len(lpns))
-	for i, lpn := range lpns {
-		if fs, ok := s.index[lpn]; ok {
+	slots := make([]int64, len(pages))
+	for i, fp := range pages {
+		if fs, ok := s.index[fp.lpn]; ok {
 			slots[i] = fs.slot
 		} else if n := len(s.free); n > 0 {
 			slots[i] = s.free[n-1]
@@ -720,9 +681,9 @@ func (s *fileStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
 	}
 	bufp := runBufPool.Get().(*[]byte)
 	defer runBufPool.Put(bufp)
-	for i := 0; i < len(lpns); {
+	for i := 0; i < len(pages); {
 		j := i + 1
-		for j < len(lpns) && slots[j] == slots[j-1]+1 {
+		for j < len(pages) && slots[j] == slots[j-1]+1 {
 			j++
 		}
 		need := int(rs) * (j - i)
@@ -733,15 +694,15 @@ func (s *fileStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
 		}
 		buf = buf[:need]
 		for k := i; k < j; k++ {
-			encodeSlot(buf[(k-i)*int(rs):(k-i+1)*int(rs)], lpns[k], stamps[k], data[k])
+			encodeSlot(buf[(k-i)*int(rs):(k-i+1)*int(rs)], pages[k].lpn, pages[k].stamp, pages[k].data)
 		}
 		if _, err := s.f.WriteAt(buf, s.slotOff(slots[i])); err != nil {
 			return fmt.Errorf("cluster: pagestore write: %w", err)
 		}
 		for k := i; k < j; k++ {
-			s.index[lpns[k]] = fileSlot{slot: slots[k], stamp: stamps[k]}
-			if stamps[k] > s.max {
-				s.max = stamps[k]
+			s.index[pages[k].lpn] = fileSlot{slot: slots[k], stamp: pages[k].stamp}
+			if pages[k].stamp > s.max {
+				s.max = pages[k].stamp
 			}
 		}
 		i = j
@@ -898,11 +859,8 @@ func (s *shardedStore) sub(lpn int64) section {
 
 func (s *shardedStore) getInto(lpn int64, dst []byte) bool { return s.sub(lpn).getInto(lpn, dst) }
 func (s *shardedStore) getStamp(lpn int64) (uint64, bool)  { return s.sub(lpn).getStamp(lpn) }
-func (s *shardedStore) put(lpn int64, data []byte, stamp uint64) error {
-	return s.sub(lpn).put(lpn, data, stamp)
-}
-func (s *shardedStore) remove(lpn int64) error { return s.sub(lpn).remove(lpn) }
-func (s *shardedStore) verify(lpn int64) bool  { return s.sub(lpn).verify(lpn) }
+func (s *shardedStore) remove(lpn int64) error             { return s.sub(lpn).remove(lpn) }
+func (s *shardedStore) verify(lpn int64) bool              { return s.sub(lpn).verify(lpn) }
 
 func (s *shardedStore) takeCorrupt() []int64 {
 	var out []int64
@@ -920,18 +878,18 @@ func (s *shardedStore) corruptCount() int64 {
 	return total
 }
 
-// putRun routes a consecutive-LPN run to its sections, keeping each
-// section's span intact so a file-backed section can coalesce the
-// pwrites. A run can cross a block boundary into another section
-// mid-way, so the split walks by routing, not just by the first page.
-func (s *shardedStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
-	for i := 0; i < len(lpns); {
-		sub := s.sub(lpns[i])
+// put routes pages to their sections, keeping each section's span intact
+// so a file-backed section can coalesce the pwrites. A run can cross a
+// block boundary into another section mid-way, so the split walks by
+// routing, not just by the first page.
+func (s *shardedStore) put(pages []flushPage) error {
+	for i := 0; i < len(pages); {
+		sub := s.sub(pages[i].lpn)
 		j := i + 1
-		for j < len(lpns) && s.sub(lpns[j]) == sub {
+		for j < len(pages) && s.sub(pages[j].lpn) == sub {
 			j++
 		}
-		if err := sub.putRun(lpns[i:j], data[i:j], stamps[i:j]); err != nil {
+		if err := sub.put(pages[i:j]); err != nil {
 			return err
 		}
 		i = j

@@ -77,7 +77,7 @@ func TestFileStoreHeaderRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.put(1, fillPage(256, 1), 1)
+	storePut(s, 1, fillPage(256, 1), 1)
 	s.close()
 	if _, err := newFileStore(dir, 512, false); err == nil {
 		t.Fatal("reopen with wrong page size succeeded")
@@ -103,7 +103,7 @@ func TestFileStoreLoadDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 3; i++ {
-		if err := s.put(10+i, fillPage(ps, byte(0xC0+i)), uint64(i+1)); err != nil {
+		if err := storePut(s, 10+i, fillPage(ps, byte(0xC0+i)), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestFileStoreLoadDetectsCorruption(t *testing.T) {
 		t.Fatal("intact neighbors lost")
 	}
 	// The freed slot is reusable and the store works on.
-	if err := s.put(99, fillPage(ps, 0x99), 50); err != nil {
+	if err := storePut(s, 99, fillPage(ps, 0x99), 50); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.close(); err != nil {
@@ -176,7 +176,7 @@ func TestFileStoreRuntimeCorruptionAndScrub(t *testing.T) {
 	var reported []int64
 	s.onCorrupt = func(lpn int64) { reported = append(reported, lpn) }
 	for i := int64(0); i < 4; i++ {
-		if err := s.put(i, fillPage(ps, byte(i+1)), uint64(i+1)); err != nil {
+		if err := storePut(s, i, fillPage(ps, byte(i+1)), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,7 +222,7 @@ func TestFileStoreRuntimeCorruptionAndScrub(t *testing.T) {
 	}
 
 	// A fresh put heals the slot in place.
-	if err := s.put(2, fillPage(ps, 0xFF), 40); err != nil {
+	if err := storePut(s, 2, fillPage(ps, 0xFF), 40); err != nil {
 		t.Fatal(err)
 	}
 	if got := storeGet(s, 2, s.pageSize); got == nil || got[0] != 0xFF {
@@ -246,7 +246,7 @@ func TestFileStoreScrubDetectsColdRot(t *testing.T) {
 	var reported []int64
 	s.onCorrupt = func(lpn int64) { reported = append(reported, lpn) }
 	for i := int64(0); i < 8; i++ {
-		s.put(i, fillPage(ps, byte(i+1)), uint64(i+1))
+		storePut(s, i, fillPage(ps, byte(i+1)), uint64(i+1))
 	}
 	f, _ := os.OpenFile(filepath.Join(dir, fileStoreName), os.O_RDWR, 0)
 	for _, slot := range []int64{1, 6} {
@@ -288,8 +288,8 @@ func TestFileStoreTornTailRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.put(1, fillPage(ps, 1), 1)
-	s.put(2, fillPage(ps, 2), 2)
+	storePut(s, 1, fillPage(ps, 1), 1)
+	storePut(s, 2, fillPage(ps, 2), 2)
 	s.close()
 
 	path := filepath.Join(dir, fileStoreName)
@@ -307,7 +307,7 @@ func TestFileStoreTornTailRecord(t *testing.T) {
 		t.Fatalf("count=%d pages=%d after torn tail", s.corruptCount(), s.pages())
 	}
 	sizeBefore, _ := s.f.Size()
-	if err := s.put(3, fillPage(ps, 3), 3); err != nil {
+	if err := storePut(s, 3, fillPage(ps, 3), 3); err != nil {
 		t.Fatal(err)
 	}
 	sizeAfter, _ := s.f.Size()
@@ -329,7 +329,7 @@ func TestFileStorePoisonLatch(t *testing.T) {
 	}
 	var hooks []error
 	s.onPoison = func(err error) { hooks = append(hooks, err) }
-	if err := s.put(1, fillPage(ps, 1), 1); err != nil {
+	if err := storePut(s, 1, fillPage(ps, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.flush(); err != nil {
@@ -337,7 +337,7 @@ func TestFileStorePoisonLatch(t *testing.T) {
 	}
 
 	inj.FailFsyncs(1)
-	if err := s.put(2, fillPage(ps, 2), 2); err != nil {
+	if err := storePut(s, 2, fillPage(ps, 2), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.flush(); !errors.Is(err, ErrSyncPoisoned) {
@@ -354,11 +354,11 @@ func TestFileStorePoisonLatch(t *testing.T) {
 	if err := s.flush(); !errors.Is(err, ErrSyncPoisoned) {
 		t.Fatalf("flush retry = %v, want latched poison", err)
 	}
-	if err := s.put(3, fillPage(ps, 3), 3); !errors.Is(err, ErrSyncPoisoned) {
+	if err := storePut(s, 3, fillPage(ps, 3), 3); !errors.Is(err, ErrSyncPoisoned) {
 		t.Fatalf("put = %v, want latched poison", err)
 	}
-	if err := s.putRun([]int64{4}, [][]byte{fillPage(ps, 4)}, []uint64{4}); !errors.Is(err, ErrSyncPoisoned) {
-		t.Fatalf("putRun = %v, want latched poison", err)
+	if err := s.put([]flushPage{{lpn: 4, data: fillPage(ps, 4), stamp: 4}, {lpn: 5, data: fillPage(ps, 5), stamp: 5}}); !errors.Is(err, ErrSyncPoisoned) {
+		t.Fatalf("run put = %v, want latched poison", err)
 	}
 	if err := s.remove(1); !errors.Is(err, ErrSyncPoisoned) {
 		t.Fatalf("remove = %v, want latched poison", err)

@@ -17,12 +17,17 @@ func storeGet(s section, lpn int64, ps int) []byte {
 	return pg
 }
 
+// storePut stores one page through the run-shaped put.
+func storePut(s interface{ put([]flushPage) error }, lpn int64, data []byte, stamp uint64) error {
+	return s.put([]flushPage{{lpn: lpn, data: data, stamp: stamp}})
+}
+
 func TestMemStoreBasics(t *testing.T) {
 	s := newMemStore()
 	if storeGet(s, 1, 1) != nil || s.pages() != 0 {
 		t.Fatal("empty store not empty")
 	}
-	if err := s.put(1, []byte{0xAA}, 5); err != nil {
+	if err := storePut(s, 1, []byte{0xAA}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := storeGet(s, 1, 1); got == nil || got[0] != 0xAA {
@@ -60,12 +65,12 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		return p
 	}
 	for i := int64(0); i < 20; i++ {
-		if err := s.put(i*7, pg(byte(i)), uint64(i+1)); err != nil {
+		if err := storePut(s, i*7, pg(byte(i)), uint64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrite reuses the slot (and bumps the stamp).
-	if err := s.put(0, pg(0xEE), 42); err != nil {
+	if err := storePut(s, 0, pg(0xEE), 42); err != nil {
 		t.Fatal(err)
 	}
 	if s.pages() != 20 {
@@ -79,7 +84,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	slotsBefore := s.slots
-	if err := s.put(999, pg(0x77), 43); err != nil {
+	if err := storePut(s, 999, pg(0x77), 43); err != nil {
 		t.Fatal(err)
 	}
 	if s.slots != slotsBefore {
@@ -123,10 +128,10 @@ func TestFileStoreRejectsWrongPageSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.put(0, make([]byte, 100), 1); err == nil {
+	if err := storePut(s, 0, make([]byte, 100), 1); err == nil {
 		t.Fatal("short put accepted")
 	}
-	if err := s.put(0, make([]byte, 512), 1); err != nil {
+	if err := storePut(s, 0, make([]byte, 512), 1); err != nil {
 		t.Fatal(err)
 	}
 	s.close()
@@ -153,10 +158,10 @@ func TestFileStoreFuzzAgainstMem(t *testing.T) {
 			pg := make([]byte, ps)
 			rng.Read(pg)
 			st := uint64(i + 1)
-			if err := fs.put(lpn, pg, st); err != nil {
+			if err := storePut(fs, lpn, pg, st); err != nil {
 				t.Fatal(err)
 			}
-			if err := ms.put(lpn, pg, st); err != nil {
+			if err := storePut(ms, lpn, pg, st); err != nil {
 				t.Fatal(err)
 			}
 		case 2:

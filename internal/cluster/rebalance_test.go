@@ -198,6 +198,35 @@ func TestLiveWorkloadInfoPerAsker(t *testing.T) {
 	}
 }
 
+// TestSetMembersPrunesInfoBase: a member that leaves the ring takes its
+// workload-window baseline with it, so the per-asker map is bounded by
+// the current membership, not by every member ever seen.
+func TestSetMembersPrunesInfoBase(t *testing.T) {
+	nodes := liveRing(t, 3, 1)
+	a, c := nodes[0], nodes[2]
+	if _, err := c.RebalanceOnce(); err != nil {
+		t.Fatal(err)
+	}
+	has := func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		_, ok := a.infoBase[c.selfID]
+		return ok
+	}
+	if !has() {
+		t.Fatal("c's query left no baseline at a")
+	}
+	a.mu.Lock()
+	epoch := a.epoch
+	a.mu.Unlock()
+	if err := a.SetMembers(epoch+1, []string{a.selfID, nodes[1].selfID}); err != nil {
+		t.Fatal(err)
+	}
+	if has() {
+		t.Fatal("removed member's baseline survived SetMembers")
+	}
+}
+
 func TestLiveRebalanceNoPeer(t *testing.T) {
 	n, err := NewLiveNode(LiveConfig{
 		Name: "solo", ListenAddr: "127.0.0.1:0",

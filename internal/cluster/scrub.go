@@ -182,21 +182,19 @@ func (n *LiveNode) repairSweep() {
 
 // repairPages fetches the queued pages from every reachable holder
 // (union-of-holders, like RecoverFromPeer), keeps the newest-stamp copy
-// of each, and applies it under the shard's persist lock. A page whose
-// local record turns out intact with a stamp at least as new settles
-// without an apply (a fresh write or eviction healed it first); a page no
-// holder answered for stays queued for the next sweep.
+// of each, and applies the copies through applyPeerPages: a page whose
+// local record is intact with a stamp at least as new settles without a
+// write (a fresh write or eviction healed it first), and a page that
+// fails to apply stays queued. A page no holder answered for settles only
+// if its local record exists and verifies; otherwise it stays queued for
+// the next sweep.
 func (n *LiveNode) repairPages(lpns []int64) {
 	links := n.linksSnapshot()
 	if len(links) == 0 {
 		return
 	}
 	ps := n.pageSize
-	type cand struct {
-		stamp uint64
-		data  []byte
-	}
-	best := make(map[int64]cand)
+	best := make(map[int64]flushPage)
 	asked := false
 	for _, l := range links {
 		if !l.alive.Load() {
@@ -215,74 +213,25 @@ func (n *LiveNode) repairPages(lpns []int64) {
 			if c, ok := best[lpn]; ok && c.stamp >= st {
 				continue
 			}
-			cp := make([]byte, ps)
-			copy(cp, resp.Data[i*ps:(i+1)*ps])
-			best[lpn] = cand{stamp: st, data: cp}
+			best[lpn] = flushPage{lpn: lpn, data: resp.Data[i*ps : (i+1)*ps], stamp: st, strm: stream.Warm}
 		}
 	}
 	if !asked {
 		return // nobody reachable; the retry tick will come back
 	}
-	healed := false
+	items := make([]flushPage, 0, len(best))
 	for _, lpn := range lpns {
-		c, have := best[lpn]
-		sh := &n.shards[n.buf.ShardIndex(lpn)]
-		sh.persistMu.Lock()
-		local, ok := n.store.getStamp(lpn)
-		intact := ok && n.store.verify(lpn)
-		if intact && (!have || local >= c.stamp) {
-			// Already healed (fresh write, eviction, or recovery).
-			sh.persistMu.Unlock()
+		if c, ok := best[lpn]; ok {
+			items = append(items, c)
+		} else if _, ok := n.store.getStamp(lpn); ok && n.store.verify(lpn) {
+			// No holder copy, but a fresh write or eviction healed the
+			// local record first.
 			n.clearRepair(lpn)
-			continue
-		}
-		if !have {
-			// Still broken and no holder copy yet: keep it queued. (If the
-			// owners discarded the backup, the durable copy was synced at
-			// discard time — a later verify will find a fresh write healed
-			// the slot, or the page is genuinely gone past repair.)
-			sh.persistMu.Unlock()
-			continue
-		}
-		// The holder copy wins: the local record is corrupt or missing, or
-		// the holder's stamp is strictly newer. (A corrupt local record
-		// with a newer stamp still takes the holder copy — it is the best
-		// surviving version of the page.)
-		n.devMu.Lock()
-		_, derr := n.dev.WriteTagged(n.vnow(), lpn, 1, stream.Warm)
-		n.devMu.Unlock()
-		if derr != nil {
-			sh.persistMu.Unlock()
-			continue
-		}
-		if n.victim != nil {
-			// The holder copy is about to become the durable truth; a stale
-			// victim entry must not outlive it.
-			n.victim.InvalidateOlder(lpn, c.stamp)
-		}
-		if perr := n.store.put(lpn, c.data, c.stamp); perr != nil {
-			sh.persistMu.Unlock()
-			continue
-		}
-		if n.victim != nil {
-			// Post-put half of the fill-admission handshake (see offerFill).
-			n.victim.InvalidateOlder(lpn, c.stamp)
-		}
-		atomic.AddInt64(&n.stats.RepairedPages, 1)
-		healed = true
-		sh.persistMu.Unlock()
-		n.clearRepair(lpn)
-		// Keep the global stamp ahead of every applied version.
-		for {
-			cur := n.stampCtr.Load()
-			if c.stamp <= cur || n.stampCtr.CompareAndSwap(cur, c.stamp) {
-				break
-			}
 		}
 	}
-	if healed {
-		n.store.flush() //nolint:errcheck // durability best effort; poison latches elsewhere
-	}
+	// A page that fails to apply stays queued for the next sweep; a
+	// poisoned section latches and degrades the node elsewhere.
+	n.applyPeerPages(items) //nolint:errcheck
 }
 
 // scrubLoop walks the store's file sections one bounded batch per tick,

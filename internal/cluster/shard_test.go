@@ -159,8 +159,8 @@ func TestShardedNodeConcurrentOps(t *testing.T) {
 }
 
 // gatedStore wraps a store section and, while armed, parks the next
-// putRun on a gate — freezing an eviction flush mid-persist so the test
-// can poke at the node while the flush is in flight.
+// put on a gate — freezing an eviction flush mid-persist so the test can
+// poke at the node while the flush is in flight.
 type gatedStore struct {
 	section
 	armed   atomic.Bool
@@ -168,12 +168,12 @@ type gatedStore struct {
 	release chan struct{} // closed to unblock
 }
 
-func (g *gatedStore) putRun(lpns []int64, data [][]byte, stamps []uint64) error {
+func (g *gatedStore) put(pages []flushPage) error {
 	if g.armed.Swap(false) {
-		g.entered <- lpns[0]
+		g.entered <- pages[0].lpn
 		<-g.release
 	}
-	return g.section.putRun(lpns, data, stamps)
+	return g.section.put(pages)
 }
 
 // TestReadDuringInflightFlush proves the pinned-dirty guarantee: a page

@@ -108,7 +108,7 @@ func TestFileStoreFlushSkipsCoveredGeneration(t *testing.T) {
 	if got := fsys.synced("s.dat"); got != 0 {
 		t.Fatalf("flush of a fresh store issued %d syncs, want 0", got)
 	}
-	if err := s.put(1, fillPage(ps, 1), 1); err != nil {
+	if err := storePut(s, 1, fillPage(ps, 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -119,7 +119,7 @@ func TestFileStoreFlushSkipsCoveredGeneration(t *testing.T) {
 	if got := fsys.synced("s.dat"); got != 1 {
 		t.Fatalf("one put and three flushes issued %d syncs, want 1", got)
 	}
-	if err := s.put(2, fillPage(ps, 2), 2); err != nil {
+	if err := storePut(s, 2, fillPage(ps, 2), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.flush(); err != nil {
@@ -151,7 +151,7 @@ func TestFileStoreFlushErrorStaysInSection(t *testing.T) {
 	}
 	fsys.failNextSync(shardStoreName(1))
 	for _, lpn := range []int64{good, bad} {
-		if err := s.put(lpn, fillPage(ps, byte(lpn+1)), 1); err != nil {
+		if err := storePut(s, lpn, fillPage(ps, byte(lpn+1)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestSyncSectionCountsAndStops(t *testing.T) {
 		n := syncNode(t, fsys, syncWrites)
 		file := shardStoreName(0)
 		ps := n.Device().PageSize()
-		if err := n.store.put(3, fillPage(ps, 3), 1); err != nil {
+		if err := storePut(n.store, 3, fillPage(ps, 3), 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := n.syncSection(3, 5); err != nil {
@@ -223,7 +223,7 @@ func TestSyncSectionCountsAndStops(t *testing.T) {
 				syncWrites, st.GroupCommitBatches, st.PagesSynced, wantBatches, wantPages)
 		}
 
-		if err := n.store.put(4, fillPage(ps, 4), 2); err != nil {
+		if err := storePut(n.store, 4, fillPage(ps, 4), 2); err != nil {
 			t.Fatal(err)
 		}
 		n.shutdown()
@@ -252,7 +252,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	fsys.delay = 2 * time.Millisecond // hold the sync so the callers pile up behind it
 	n := syncNode(t, fsys, true)
 	defer n.Crash()
-	if err := n.store.put(1, fillPage(n.Device().PageSize(), 1), 1); err != nil {
+	if err := storePut(n.store, 1, fillPage(n.Device().PageSize(), 1), 1); err != nil {
 		t.Fatal(err)
 	}
 	errs := make([]error, waiters)

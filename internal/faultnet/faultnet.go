@@ -112,9 +112,6 @@ func (n *Network) CurrentFaults() Faults {
 // network: dials fail and reads/writes on existing connections error.
 func (n *Network) SetPartitioned(p bool) { n.partitioned.Store(p) }
 
-// Partitioned reports whether the network is currently blocked.
-func (n *Network) Partitioned() bool { return n.partitioned.Load() }
-
 // SetTap installs the wire observer. Pass nil to remove it.
 func (n *Network) SetTap(t Tap) {
 	n.mu.Lock()

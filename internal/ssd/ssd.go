@@ -71,9 +71,6 @@ func New(cfg Config) (*Device, error) {
 	return &Device{f: f}, nil
 }
 
-// NewWithFTL wraps an existing FTL (used by tests and ablations).
-func NewWithFTL(f ftl.FTL) *Device { return &Device{f: f} }
-
 // FTL exposes the device's translation layer.
 func (d *Device) FTL() ftl.FTL { return d.f }
 

@@ -74,8 +74,3 @@ func (s Stream) String() string {
 // so they bypass it unconditionally — the class check runs before any
 // popularity threshold.
 func (s Stream) VictimAdmissible() bool { return s == Hot || s == Warm }
-
-// Names lists the stream names in tag order, for stats emission.
-func Names() [NumStreams]string {
-	return [NumStreams]string{"warm", "hot", "cold", "seq"}
-}

@@ -6,27 +6,9 @@ import (
 	"flashcoop/internal/trace"
 )
 
-// SkewClass labels a logical block's write temperature within a trace.
-type SkewClass uint8
-
-// Skew classes, coarsest useful granularity: the hot set absorbs most of
-// the trace's rewrites, everything else is cold.
-const (
-	SkewCold SkewClass = iota
-	SkewHot
-)
-
-// String names the class.
-func (c SkewClass) String() string {
-	if c == SkewHot {
-		return "hot"
-	}
-	return "cold"
-}
-
 // BlockHeat is a trace's per-block skew classification, derived ONCE up
 // front from the whole request stream. Replay and load-generation paths
-// ask Hot/Class per operation, which is a single map lookup — deriving
+// ask Hot per operation, which is a single map lookup — deriving
 // the class inside the per-op loop would re-tally the trace's access
 // counts millions of times for the same answer.
 type BlockHeat struct {
@@ -103,12 +85,4 @@ func ClassifyHeat(reqs []trace.Request, pagesPerBlock int, hotShare float64) *Bl
 func (h *BlockHeat) Hot(lpn int64) bool {
 	_, ok := h.hot[lpn/h.ppb]
 	return ok
-}
-
-// Class reports lpn's block class.
-func (h *BlockHeat) Class(lpn int64) SkewClass {
-	if h.Hot(lpn) {
-		return SkewHot
-	}
-	return SkewCold
 }

@@ -58,6 +58,10 @@ CHAOS_SEED=42 go test -race -run 'TestChaosTornWriteRepair' ./internal/cluster/c
 # single P serializes the evictors' sync stages against the poison latch
 # and the scrubber in orders the host's core count may never produce.
 CHAOS_SEED=42 GOMAXPROCS=1 go test -race -count=1 -run 'TestChaosTornWriteRepair' ./internal/cluster/check/
+# Ring churn on one P as well: the receiver's synchronous SetMembers plus
+# re-protect competes with the joiner's bulk-call timeout, and one P is
+# where that race between them is tightest.
+CHAOS_SEED=42 GOMAXPROCS=1 go test -race -count=1 -run 'TestChaosMembershipChurn' ./internal/cluster/check/
 
 # Fuzz smoke: a short budget per target catches frame-decoder and trace-
 # parser regressions without benchmark-length time. Each invocation fuzzes
