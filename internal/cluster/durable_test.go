@@ -146,7 +146,8 @@ func TestScrubRepairCountsPersist(t *testing.T) {
 // A FlushAll whose fsync fails has made nothing durable: the injected
 // failure drops the unsynced writes, as a real failed fsync may. The
 // page must stay resident, so a read still returns the acked payload
-// instead of what the store lost.
+// instead of what the store lost, and dirty in the buffer policy, so a
+// later eviction flushes it again.
 func TestFlushAllFailedSyncKeepsPagesResident(t *testing.T) {
 	inj := faultfs.New(1)
 	n, err := NewLiveNode(LiveConfig{
@@ -181,6 +182,9 @@ func TestFlushAllFailedSyncKeepsPagesResident(t *testing.T) {
 	inj.FailFsyncs(1)
 	if err := n.FlushAll(); !errors.Is(err, ErrSyncPoisoned) {
 		t.Fatalf("FlushAll = %v, want ErrSyncPoisoned", err)
+	}
+	if !n.Buffer().IsDirty(lpn) {
+		t.Fatal("page left clean in the buffer policy after a failed FlushAll")
 	}
 	got, err := n.Read(lpn, 1)
 	if err != nil || !bytes.Equal(got, v) {

@@ -308,7 +308,7 @@ type LiveNode struct {
 	pageSize int
 
 	// Device pacing (see SetDevicePacing). pacing gates the
-	// sleeps; victimQ is the victim log's own serial-service queue (the
+	// waits; victimQ is the victim log's own serial-service queue (the
 	// home device has one inside ssd.Device), and the two service
 	// constants are one page's read/program cost on the tier's medium.
 	pacing        atomic.Bool
@@ -795,20 +795,18 @@ func (n *LiveNode) vnow() sim.VTime { return sim.FromDuration(time.Since(n.start
 
 // paceDevice blocks until the home device model's completion time for an
 // operation has passed on the wall clock. Call with no locks held (or
-// only persistMu: the flush pipeline sleeping here is precisely how
+// only persistMu: the flush pipeline waiting here is precisely how
 // device pacing turns into writer backpressure). No-op when pacing is
 // off.
 func (n *LiveNode) paceDevice(done sim.VTime) {
 	if !n.pacing.Load() {
 		return
 	}
-	if w := done.Duration() - time.Since(n.start); w > 0 {
-		time.Sleep(w)
-	}
+	paceWait(done.Duration() - time.Since(n.start))
 }
 
 // paceVictim charges one victim-log flash operation to the tier's own
-// serial queue and sleeps to its completion. The victim log has no GC
+// serial queue and waits for its completion. The victim log has no GC
 // and absorbs only admission programs, so this queue stays near-empty —
 // the latency asymmetry against the GC-loaded home device is exactly
 // what the tier trades its extra flash writes for.
@@ -819,23 +817,26 @@ func (n *LiveNode) paceVictim(service sim.VTime) {
 	n.victimQMu.Lock()
 	_, done := n.victimQ.Serve(n.vnow(), service)
 	n.victimQMu.Unlock()
-	if w := done.Duration() - time.Since(n.start); w > 0 {
-		time.Sleep(w)
-	}
+	paceWait(done.Duration() - time.Since(n.start))
 }
 
 // SetDevicePacing turns device pacing on or off. Pacing converts the SSD
 // timing model's completion times into wall-clock waiting: every
 // device-charged operation — read-miss fills, eviction flush bursts,
-// victim-tier hits and admission programs — sleeps until the model says
+// victim-tier hits and admission programs — waits until the model says
 // it would complete, so measured latency reflects the modeled medium
 // (including reads queueing behind home writes and GC) instead of the
-// host's page cache. Flush pacing propagates to writers as ordinary
-// buffer/queue backpressure, which keeps the device queue's backlog
-// bounded. Nodes start unpaced, so tests and non-benchmark callers keep
-// the model's books at host speed. Benchmarks run seed and warmup phases
-// unpaced, re-anchor the model with ResetDeviceMeasurement, and pace only
-// the measured window.
+// host's page cache. On Linux a wait parks on a timerfd in the runtime's
+// netpoller (paceWait) and ends within tens of microseconds of the
+// model's completion time: a one-page read miss modelled at 125 µs takes
+// about 136 µs. Elsewhere it falls back to time.Sleep, which rounds any
+// wait under a millisecond up to about 1.1 ms on an otherwise idle
+// process. Flush pacing propagates to writers as ordinary buffer/queue
+// backpressure, which keeps the device queue's backlog bounded. Nodes
+// start unpaced, so tests and non-benchmark callers keep the model's
+// books at host speed. Benchmarks run seed and warmup phases unpaced,
+// re-anchor the model with ResetDeviceMeasurement, and pace only the
+// measured window.
 func (n *LiveNode) SetDevicePacing(on bool) { n.pacing.Store(on) }
 
 // ResetDeviceMeasurement clears the home device model's queue backlog
@@ -1361,13 +1362,15 @@ func (n *LiveNode) offerFill(lpn int64, data []byte) {
 }
 
 // FlushAll persists every dirty page — buffered and in flight — across
-// all shards (used at shutdown and on failover).
+// all shards (used at shutdown and on failover). A shard's policy is
+// emptied only once its persist succeeded: after a failure the pages that
+// did not persist stay dirty in the policy as well as in the shard's
+// dirty map, so eviction still flushes them.
 func (n *LiveNode) FlushAll() error {
 	for si := range n.shards {
 		sh := &n.shards[si]
 		sh.persistMu.Lock()
 		n.buf.LockShard(si)
-		n.buf.ShardCache(si).FlushAll()
 		dirty := make([]flushPage, 0, len(sh.dirtyData))
 		for p, d := range sh.dirtyData {
 			dirty = append(dirty, flushPage{lpn: p, data: d, stamp: sh.dirtyStamp[p]})
@@ -1377,6 +1380,9 @@ func (n *LiveNode) FlushAll() error {
 			pinned = append(pinned, fp)
 		}
 		err := n.persistResident(si, dirty, pinned)
+		if err == nil {
+			n.buf.ShardCache(si).FlushAll()
+		}
 		n.buf.UnlockShard(si)
 		sh.persistMu.Unlock()
 		if err != nil {

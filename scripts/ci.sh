@@ -14,6 +14,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+# The pacing wait has a timerfd implementation on Linux and a time.Sleep
+# fallback elsewhere; vet a non-Linux build so the fallback keeps
+# compiling (a cross vet needs no network and no cgo).
+GOOS=darwin GOARCH=arm64 go vet ./internal/cluster/
 # staticcheck is optional tooling: run it when the host has it, never
 # install it from CI (the gate must work offline and unprivileged).
 if command -v staticcheck >/dev/null 2>&1; then
@@ -36,6 +40,13 @@ CHAOS_SHARDS=4 go test -race ./internal/experiments/... ./internal/cluster/...
 # cache or the host's core count.
 for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/cluster/check/
+done
+
+# Pacing waits on one P and on four: a timerfd expiration that the
+# netpoller loses parks its waiter for good, and the P count changes who
+# polls (the idle thread in epoll_wait, or a spinning P between goroutines).
+for procs in 1 4; do
+	GOMAXPROCS=$procs go test -race -count=1 -run 'TestPaceWait|TestPacedReadMiss' ./internal/cluster/
 done
 
 # Link-flap smoke: three asymmetric partition/heal cycles against a live
